@@ -136,10 +136,6 @@ def validate_action(spec):
     return ActionSpec(spec.n, spec.torus_rank, spec.finite_orders, tuple(rows))
 
 
-def trivial_action(n):
-    return make_action(n)
-
-
 def zero_weight(action):
     return Weight(
         (0,) * action.torus_rank, (0,) * action.t, action.finite_orders
@@ -167,12 +163,6 @@ def weight_of_exponents(action, exps, indices=()):
 
 
 def weight_of_monomial(action, exps):
-    return weight_of_exponents(action, exps)
-
-
-def weight_of_coordinate(action, i):
-    exps = [0] * action.n
-    exps[i] = 1
     return weight_of_exponents(action, exps)
 
 

@@ -9,38 +9,36 @@ convention that a form's total degree counts each dx once.
 """
 
 from invforms.action import finite_reflection_elements, zero_weight
-from invforms.cones import (
-    facet_normals,
-    hilbert_certificate_bound,
-    in_relative_interior,
-    span_dim,
-)
+from invforms.cones import facet_normals, in_relative_interior
 from invforms.errors import InternalCheckError, PreconditionError
 from invforms.invariants import (
     HilbertSeries,
-    hilbert_basis,
+    certified_basis,
     hilbert_series_of,
     invariant_form_generators,
     quotient_dimension,
 )
 from invforms.linalg import rank_of_rows
-from invforms.pieces import monomials_with_weight
+from invforms.pieces import Grading, monomials_with_weight
 from invforms.pullback import surjectivity_check
 
 
-def canonical_invariants(action, bound):
+def canonical_invariants(action, bound, grading=None):
     """Minimal generators of the invariant horizontal top-degree forms."""
-    dim_y = quotient_dimension(action)
-    return invariant_form_generators(action, dim_y, True, bound)
+    if grading is None:
+        grading = Grading(action)
+    dim_y = quotient_dimension(action, grading)
+    return invariant_form_generators(action, dim_y, True, bound, grading)
 
 
-def toric_canonical_series(action, truncation):
+def toric_canonical_series(action, truncation, grading=None):
     """Counts of weight-zero monomials interior to the monoid cone.
 
     Requires a certified Hilbert basis (the cone must be known exactly).
     """
-    cert = hilbert_certificate_bound(action)
-    basis = hilbert_basis(action, max(cert, 1))
+    if grading is None:
+        grading = Grading(action)
+    basis = certified_basis(grading)
     if not basis.complete:
         raise PreconditionError(
             "invariant monoid not certified; cannot fix the cone"
@@ -52,17 +50,17 @@ def toric_canonical_series(action, truncation):
         coeffs.append(
             sum(
                 1
-                for exps in monomials_with_weight(action, d, w0)
+                for exps in monomials_with_weight(action, d, w0, grading)
                 if in_relative_interior(exps, normals)
             )
         )
     return HilbertSeries(tuple(coeffs))
 
 
-def torus_part_strongly_stable(action):
+def torus_part_strongly_stable(action, grading=None):
     """Generic torus orbits closed with finite stabilizer: the monoid
     span must have full dimension inside the torus-weight kernel."""
-    dim_y = quotient_dimension(action)
+    dim_y = quotient_dimension(action, grading)
     torus_rows = [list(action.torus_row(j)) for j in range(action.torus_rank)]
     generic_orbit = rank_of_rows(torus_rows, action.n)
     return dim_y == action.n - generic_orbit
@@ -74,35 +72,41 @@ def canonical_series_check(action, truncation):
     Preconditions: the finite part is small (pseudo-reflections break
     the identification) and the torus part is strongly stable.
     """
+    grading = Grading(action)
     reflections = finite_reflection_elements(action)
     if reflections:
         raise PreconditionError(
             "finite part is not small; pseudo-reflections present: "
             + ", ".join(str(r) for r in reflections)
         )
-    if not torus_part_strongly_stable(action):
+    if not torus_part_strongly_stable(action, grading):
         raise PreconditionError(
             "torus part is not strongly stable; generic orbits are not "
             "closed with finite stabilizer"
         )
     forms = hilbert_series_of(
-        canonical_invariants(action, truncation), action, truncation
+        canonical_invariants(action, truncation, grading),
+        action,
+        truncation,
+        grading,
     )
-    toric = toric_canonical_series(action, truncation)
+    toric = toric_canonical_series(action, truncation, grading)
     return forms.coefficients == toric.coefficients
 
 
-def canonical_comparison(action, truncation):
+def canonical_comparison(action, truncation, grading=None):
     """Both series plus the identification verdict, precondition-aware.
 
     When a precondition fails the comparison is still reported, but
     flagged as not certified (no claim is made either way).
     """
-    module = canonical_invariants(action, truncation)
-    forms = hilbert_series_of(module, action, truncation)
-    toric = toric_canonical_series(action, truncation)
+    if grading is None:
+        grading = Grading(action)
+    module = canonical_invariants(action, truncation, grading)
+    forms = hilbert_series_of(module, action, truncation, grading)
+    toric = toric_canonical_series(action, truncation, grading)
     reflections = finite_reflection_elements(action)
-    stable = torus_part_strongly_stable(action)
+    stable = torus_part_strongly_stable(action, grading)
     certified = not reflections and stable
     reason = None
     if reflections:
@@ -112,7 +116,7 @@ def canonical_comparison(action, truncation):
     elif not stable:
         reason = "torus part not strongly stable"
     return {
-        "dimension": quotient_dimension(action),
+        "dimension": quotient_dimension(action, grading),
         "generator_degrees": list(module.generator_degrees),
         "series_invariant_forms": list(forms.coefficients),
         "series_toric_interior": list(toric.coefficients),
@@ -138,9 +142,3 @@ def containment_chain_check(action, k, bound):
             )
         rows.append((d, idim, tdim, coker == 0))
     return tuple(rows)
-
-
-def quotient_dim_and_span(action):
-    cert = hilbert_certificate_bound(action)
-    basis = hilbert_basis(action, max(cert, 1))
-    return span_dim(basis.generators, action.n), basis

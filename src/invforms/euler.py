@@ -13,7 +13,7 @@ from invforms.action import weight_of_exponents
 from invforms.errors import InhomogeneityError, PreconditionError
 from invforms.forms import PolyForm
 from invforms.linalg import Echelon, echelon_of
-from invforms.pieces import form_to_vector, piece_keys, vector_to_form
+from invforms.pieces import Grading, form_to_vector, piece_keys, vector_to_form
 from invforms.poly import Polynomial
 
 
@@ -89,16 +89,18 @@ def _euler_rows(action, k, src_keys, tgt_positions, torus_indices):
     return rows
 
 
-def horizontal_piece(action, k, degree, weight):
+def horizontal_piece(action, k, degree, weight, grading=None):
     """Canonical basis of the (degree, weight) piece of the horizontal k-forms."""
-    keys = piece_keys(action, k, degree, weight)
+    if grading is None:
+        grading = Grading(action)
+    keys = piece_keys(action, k, degree, weight, grading)
     if not keys:
         return []
     if action.torus_rank == 0:
         return [
             PolyForm.monomial_form(action.n, exps, I) for I, exps in keys
         ]
-    tgt_keys = piece_keys(action, k - 1, degree, weight) if k else []
+    tgt_keys = piece_keys(action, k - 1, degree, weight, grading) if k else []
     tgt_positions = {key: i for i, key in enumerate(tgt_keys)}
     rows = _euler_rows(
         action, k, keys, tgt_positions, range(action.torus_rank)
@@ -131,6 +133,7 @@ def euler_homology(
     restrict_invariant_horizontal=False,
     torus_index=0,
     require_positive_grading=False,
+    grading=None,
 ):
     """Homology of the contraction complex on one (degree, weight) piece.
 
@@ -151,6 +154,8 @@ def euler_homology(
                     "graded ring does not have a point quotient"
                 )
     n = action.n
+    if grading is None:
+        grading = Grading(action)
     op = EulerOperator(action, torus_index)
     others = [j for j in range(action.torus_rank) if j != torus_index]
 
@@ -168,9 +173,9 @@ def euler_homology(
         if not invariant_ok:
             piece[k] = ([], [])
             continue
-        keys = piece_keys(action, k, degree, weight)
+        keys = piece_keys(action, k, degree, weight, grading)
         if restrict_invariant_horizontal and others and keys:
-            tgt_keys = piece_keys(action, k - 1, degree, weight) if k else []
+            tgt_keys = piece[k - 1][0] if k else []
             tgt_positions = {key: i for i, key in enumerate(tgt_keys)}
             if k == 0 or not tgt_keys:
                 vectors = [_unit(len(keys), i) for i in range(len(keys))]
@@ -190,7 +195,7 @@ def euler_homology(
         keys, vectors = piece[k]
         if not vectors:
             continue
-        tgt_keys = piece_keys(action, k - 1, degree, weight)
+        tgt_keys = piece[k - 1][0]
         tgt_positions = {key: i for i, key in enumerate(tgt_keys)}
         ech = Echelon(max(len(tgt_keys), 1))
         for v in vectors:
@@ -213,22 +218,15 @@ def _unit(ncols, i):
     return v
 
 
-def occurring_weights(action, degree):
-    """All weights of monomial forms of the given total degree, any k."""
-    seen = set()
-    out = []
-    for k in range(action.n + 1):
-        from invforms.pieces import index_subsets, monomials_of_degree
+def occurring_weights(action, degree, grading=None):
+    """All weights of monomial forms of the given total degree, any k.
 
-        for I in index_subsets(action.n, k):
-            for exps in monomials_of_degree(action.n, degree - k):
-                w = weight_of_exponents(action, exps, I)
-                key = (w.torus, w.finite)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(w)
-    out.sort(key=lambda w: (w.torus, w.finite))
-    return out
+    x^a dx_I has the weight of the monomial x^(a + e_I), of the same
+    total degree, so these are the weights of the degree's monomials.
+    """
+    if grading is None:
+        grading = Grading(action)
+    return list(grading.buckets(degree))
 
 
 def homology_all_weights(action, degree, **kwargs):
@@ -237,10 +235,11 @@ def homology_all_weights(action, degree, **kwargs):
     The contraction operator preserves weights, so homology decomposes
     and the per-weight results can be added.
     """
+    grading = Grading(action)
     dims = [0] * (action.n + 1)
     hom = [0] * (action.n + 1)
-    for w in occurring_weights(action, degree):
-        res = euler_homology(action, w, degree, **kwargs)
+    for w in occurring_weights(action, degree, grading):
+        res = euler_homology(action, w, degree, grading=grading, **kwargs)
         dims = [a + b for a, b in zip(dims, res.dims)]
         hom = [a + b for a, b in zip(hom, res.homology)]
     return EulerHomology(tuple(dims), tuple(hom))

@@ -9,17 +9,18 @@ piece elements not reachable from lower degrees.
 from dataclasses import dataclass
 
 from invforms.action import zero_weight
-from invforms.cones import hilbert_certificate_bound, span_dim
+from invforms.cones import span_dim
 from invforms.errors import PreconditionError
 from invforms.euler import horizontal_piece
 from invforms.linalg import Echelon
 from invforms.pieces import (
+    Grading,
     form_to_vector,
     monomials_with_weight,
     piece_keys,
+    shifted_rows,
     vector_to_form,
 )
-from invforms.poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -39,30 +40,72 @@ class MonoidBasis:
     def max_degree(self):
         return max((sum(g) for g in self.generators), default=0)
 
+    def truncated(self, bound):
+        """The basis that a scan stopped at `bound` <= search_bound finds."""
+        if bound == self.search_bound:
+            return self
+        return MonoidBasis(
+            tuple(g for g in self.generators if sum(g) <= bound),
+            bound >= self.certificate_bound,
+            bound,
+            self.certificate_bound,
+        )
+
 
 def _dominates(a, b):
     return all(x >= y for x, y in zip(a, b))
 
 
-def hilbert_basis(action, bound):
-    """Minimal generators of the weight-zero monoid up to total degree `bound`."""
+def _check_bound(bound):
     if bound < 1:
         raise PreconditionError(f"bound must be at least 1, got {bound}")
+
+
+def hilbert_basis(action, bound, grading=None):
+    """Minimal generators of the weight-zero monoid up to total degree `bound`.
+
+    This is the monoid scan.  Within one call, take bases from
+    `monoid_basis`, which scans once and cuts every basis from that.
+    """
+    _check_bound(bound)
+    if grading is None:
+        grading = Grading(action)
     w0 = zero_weight(action)
     gens = []
     for d in range(1, bound + 1):
-        for exps in monomials_with_weight(action, d, w0):
+        for exps in monomials_with_weight(action, d, w0, grading):
             if not any(_dominates(exps, g) for g in gens):
                 gens.append(exps)
-    cert = hilbert_certificate_bound(action)
+    cert = grading.certificate_bound()
     return MonoidBasis(tuple(gens), bound >= cert, bound, cert)
 
 
-def quotient_dimension(action):
+def monoid_basis(grading, bound):
+    """The Hilbert basis found up to `bound`, cut from the grading's one scan.
+
+    The scan reaches max(bound, certificate bound), so an analysis that
+    asks first for its own bound scans once.  Each monomial is tested
+    only against generators of lower degree, so the generators found up
+    to `bound` do not depend on how far the scan goes.
+    """
+    _check_bound(bound)
+    scan = grading.monoid
+    if scan is None or scan.search_bound < bound:
+        top = max(bound, grading.certificate_bound())
+        scan = grading.monoid = hilbert_basis(grading.action, top, grading)
+    return scan.truncated(bound)
+
+
+def certified_basis(grading):
+    """The whole Hilbert basis: the scan up to the certificate bound."""
+    return monoid_basis(grading, max(grading.certificate_bound(), 1))
+
+
+def quotient_dimension(action, grading=None):
     """Krull dimension of the invariant ring (dimension of the monoid span)."""
-    cert = hilbert_certificate_bound(action)
-    basis = hilbert_basis(action, max(cert, 1))
-    return span_dim(basis.generators, action.n)
+    if grading is None:
+        grading = Grading(action)
+    return span_dim(certified_basis(grading).generators, action.n)
 
 
 @dataclass(frozen=True)
@@ -94,10 +137,10 @@ class GradedSubmodule:
     basis_complete: bool
 
 
-def _module_piece_vectors(action, k, degree, horizontal, keys, positions):
+def _module_piece_vectors(action, k, degree, horizontal, keys, positions, grading):
     """Canonical basis vectors of the weight-zero module piece."""
     if horizontal and action.torus_rank > 0:
-        forms = horizontal_piece(action, k, degree, zero_weight(action))
+        forms = horizontal_piece(action, k, degree, zero_weight(action), grading)
         return [form_to_vector(f, positions, len(keys)) for f in forms]
     vecs = []
     for i in range(len(keys)):
@@ -107,7 +150,7 @@ def _module_piece_vectors(action, k, degree, horizontal, keys, positions):
     return vecs
 
 
-def invariant_form_generators(action, k, horizontal, bound):
+def invariant_form_generators(action, k, horizontal, bound, grading=None):
     """Minimal invariant-ring generators of the invariant k-form module.
 
     With `horizontal` set the module is cut down to the common kernel
@@ -118,44 +161,50 @@ def invariant_form_generators(action, k, horizontal, bound):
     """
     if bound < k:
         raise PreconditionError(f"bound {bound} below form degree {k}")
-    basis = hilbert_basis(action, max(bound, 1))
+    if grading is None:
+        grading = Grading(action)
+    basis = monoid_basis(grading, max(bound, 1))
     w0 = zero_weight(action)
     gens = []
     degrees = []
+    shifts = []
     for d in range(k, bound + 1):
-        keys = piece_keys(action, k, d, w0)
+        keys = piece_keys(action, k, d, w0, grading)
         if not keys:
             continue
         positions = {key: i for i, key in enumerate(keys)}
         ech = Echelon(len(keys))
-        for dg, g in zip(degrees, gens):
-            mult = d - dg
-            if mult <= 0:
-                continue
-            for exps in monomials_with_weight(action, mult, w0):
-                scaled = g * Polynomial.monomial(action.n, exps)
-                ech.insert(form_to_vector(scaled, positions, len(keys)))
-        for v in _module_piece_vectors(action, k, d, horizontal, keys, positions):
+        # every generator so far has degree below d
+        for row in shifted_rows(action, shifts, d, w0, positions, grading):
+            ech.insert(row)
+        vectors = _module_piece_vectors(
+            action, k, d, horizontal, keys, positions, grading
+        )
+        for v in vectors:
             if ech.insert(v) is not None:
-                gens.append(vector_to_form(action.n, k, v, keys))
+                g = vector_to_form(action.n, k, v, keys)
+                gens.append(g)
                 degrees.append(d)
+                shifts.append((d, w0, list(g.terms())))
     return GradedSubmodule(
         k, tuple(gens), tuple(degrees), bound, basis.complete
     )
 
 
-def invariant_ring_series(action, truncation):
+def invariant_ring_series(action, truncation, grading=None):
     """Direct count of weight-zero monomials per degree (the honest series)."""
+    if grading is None:
+        grading = Grading(action)
     w0 = zero_weight(action)
     return HilbertSeries(
         tuple(
-            len(monomials_with_weight(action, d, w0))
+            len(monomials_with_weight(action, d, w0, grading))
             for d in range(truncation + 1)
         )
     )
 
 
-def hilbert_series_of(obj, action, truncation):
+def hilbert_series_of(obj, action, truncation, grading=None):
     """Per-degree weight-zero dimensions of the module spanned by `obj`.
 
     A MonoidBasis spans the subring generated by its monomials (closure
@@ -174,22 +223,23 @@ def hilbert_series_of(obj, action, truncation):
                     seen.add(tuple(a + b for a, b in zip(s, g)))
         return HilbertSeries(tuple(len(r) for r in reach))
 
+    if grading is None:
+        grading = Grading(action)
     w0 = zero_weight(action)
     k = obj.form_degree
+    shifts = [
+        (dg, w0, list(g.terms()))
+        for dg, g in zip(obj.generator_degrees, obj.generators)
+    ]
     coeffs = []
     for d in range(truncation + 1):
-        keys = piece_keys(action, k, d, w0)
+        keys = piece_keys(action, k, d, w0, grading)
         if not keys:
             coeffs.append(0)
             continue
         positions = {key: i for i, key in enumerate(keys)}
         ech = Echelon(len(keys))
-        for dg, g in zip(obj.generator_degrees, obj.generators):
-            mult = d - dg
-            if mult < 0:
-                continue
-            for exps in monomials_with_weight(action, mult, w0):
-                scaled = g * Polynomial.monomial(action.n, exps)
-                ech.insert(form_to_vector(scaled, positions, len(keys)))
+        for row in shifted_rows(action, shifts, d, w0, positions, grading):
+            ech.insert(row)
         coeffs.append(ech.rank)
     return HilbertSeries(tuple(coeffs))

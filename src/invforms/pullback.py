@@ -15,12 +15,13 @@ from invforms.action import zero_weight
 from invforms.cones import span_dim
 from invforms.errors import InternalCheckError
 from invforms.euler import horizontal_piece
-from invforms.invariants import hilbert_basis
+from invforms.invariants import certified_basis, monoid_basis
 from invforms.linalg import Echelon, echelon_of
 from invforms.pieces import (
+    Grading,
     form_to_vector,
-    monomials_with_weight,
     piece_keys,
+    shifted_rows,
     vector_to_form,
 )
 from invforms.poly import Polynomial, polynomial_matrix_rank
@@ -76,15 +77,17 @@ def _wedge_candidates(action, basis, k):
     return wedges
 
 
-def pullback_image(action, k, bound, basis=None):
+def pullback_image(action, k, bound, basis=None, grading=None):
     """All k-fold wedges of differentials of the invariant generators.
 
     Within each total degree, wedges that are constant-linear
     combinations of earlier ones are dropped; that never shrinks the
     spanned module.
     """
+    if grading is None:
+        grading = Grading(action)
     if basis is None:
-        basis = hilbert_basis(action, bound)
+        basis = monoid_basis(grading, bound)
     if k > action.n:
         return PullbackImage(k, (), (), bound, basis.complete)
     w0 = zero_weight(action)
@@ -95,7 +98,7 @@ def pullback_image(action, k, bound, basis=None):
         by_degree.setdefault(d, []).append(w)
     kept = []
     for d in sorted(by_degree):
-        keys = piece_keys(action, k, d, w0)
+        keys = piece_keys(action, k, d, w0, grading)
         positions = {key: i for i, key in enumerate(keys)}
         ech = Echelon(len(keys))
         for w in by_degree[d]:
@@ -126,12 +129,12 @@ def target_generator_bound(action, k, basis):
     return support_bound
 
 
-def _target_piece_vectors(action, k, d, keys, positions):
-    forms = horizontal_piece(action, k, d, zero_weight(action))
+def _target_piece_vectors(action, k, d, keys, positions, grading):
+    forms = horizontal_piece(action, k, d, zero_weight(action), grading)
     return [form_to_vector(f, positions, len(keys)) for f in forms]
 
 
-def surjectivity_check(action, k, bound, basis=None):
+def surjectivity_check(action, k, bound, basis=None, grading=None):
     """Degreewise cokernel of the invariant pullback in form degree k.
 
     Verdict is `surjective` only when every piece up to the certified
@@ -140,28 +143,29 @@ def surjectivity_check(action, k, bound, basis=None):
     has one, and `inconclusive` when certification is out of reach at
     this bound.
     """
+    if grading is None:
+        grading = Grading(action)
     if basis is None:
-        basis = hilbert_basis(action, bound)
-    image = pullback_image(action, k, bound, basis=basis)
+        basis = monoid_basis(grading, bound)
+    image = pullback_image(action, k, bound, basis=basis, grading=grading)
     w0 = zero_weight(action)
+    shifts = [
+        (dg, w0, list(w.terms()))
+        for dg, w in zip(image.generator_degrees, image.wedge_generators)
+    ]
     rows = []
     witness = None
     witness_degrees = []
     for d in range(bound + 1):
-        keys = piece_keys(action, k, d, w0)
+        keys = piece_keys(action, k, d, w0, grading)
         if not keys:
             rows.append((d, 0, 0, 0))
             continue
         positions = {key: i for i, key in enumerate(keys)}
-        target_vecs = _target_piece_vectors(action, k, d, keys, positions)
+        target_vecs = _target_piece_vectors(action, k, d, keys, positions, grading)
         ech = Echelon(len(keys))
-        for dg, w in zip(image.generator_degrees, image.wedge_generators):
-            mult = d - dg
-            if mult < 0:
-                continue
-            for exps in monomials_with_weight(action, mult, w0):
-                scaled = w * Polynomial.monomial(action.n, exps)
-                ech.insert(form_to_vector(scaled, positions, len(keys)))
+        for row in shifted_rows(action, shifts, d, w0, positions, grading):
+            ech.insert(row)
         tdim = len(target_vecs)
         idim = ech.rank
         coker = tdim - idim
@@ -227,10 +231,7 @@ def torsion_free_rank(action, k, basis=None):
     if k > action.n or k < 0:
         return 0
     if basis is None:
-        from invforms.cones import hilbert_certificate_bound
-
-        cert = hilbert_certificate_bound(action)
-        basis = hilbert_basis(action, max(cert, 1))
+        basis = certified_basis(Grading(action))
     wedges = _wedge_candidates(action, basis, k)
     subsets = [tuple(c) for c in combinations(range(action.n), k)]
     rows = [

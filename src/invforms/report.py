@@ -13,10 +13,11 @@ from invforms.action import action_to_dict
 from invforms.canonical import canonical_comparison
 from invforms.errors import EngineError
 from invforms.invariants import (
-    hilbert_basis,
     invariant_ring_series,
+    monoid_basis,
     quotient_dimension,
 )
+from invforms.pieces import Grading
 from invforms.pullback import surjectivity_check
 from invforms.smoothness import (
     isolated_singularity_certificate,
@@ -37,11 +38,14 @@ def run_analysis(action, max_degree=None, form_degrees=None, with_canonical=True
     bound = default_bound(action) if max_degree is None else max_degree
     timings = {}
     inconclusive = []
+    # every stage reads monomials, the Hilbert basis and its
+    # certificate bound from this one grading
+    grading = Grading(action)
 
     t0 = time.perf_counter()
-    basis = hilbert_basis(action, bound)
-    dim_y = quotient_dimension(action)
-    series = invariant_ring_series(action, bound)
+    basis = monoid_basis(grading, bound)
+    dim_y = quotient_dimension(action, grading)
+    series = invariant_ring_series(action, bound, grading)
     timings["hilbert"] = _ms(t0)
     if not basis.complete:
         inconclusive.append(
@@ -56,7 +60,8 @@ def run_analysis(action, max_degree=None, form_degrees=None, with_canonical=True
 
     t0 = time.perf_counter()
     surj_results = [
-        surjectivity_check(action, k, bound, basis=basis) for k in ks
+        surjectivity_check(action, k, bound, basis=basis, grading=grading)
+        for k in ks
     ]
     timings["surjectivity"] = _ms(t0)
     surj_section = {}
@@ -78,7 +83,10 @@ def run_analysis(action, max_degree=None, form_degrees=None, with_canonical=True
     t0 = time.perf_counter()
     full = form_degrees is None
     verdict = smoothness_verdict(
-        action, bound, surjectivity_results=surj_results if full else None
+        action,
+        bound,
+        surjectivity_results=surj_results if full else None,
+        grading=grading,
     )
     timings["smoothness"] = _ms(t0)
     if verdict.consolidated == "inconclusive":
@@ -89,7 +97,7 @@ def run_analysis(action, max_degree=None, form_degrees=None, with_canonical=True
         t0 = time.perf_counter()
         try:
             canonical_section = canonical_comparison(
-                action, min(bound, max(10, dim_y))
+                action, min(bound, max(10, dim_y)), grading
             )
         except EngineError as exc:
             canonical_section = {"skipped": str(exc)}
@@ -123,7 +131,7 @@ def run_analysis(action, max_degree=None, form_degrees=None, with_canonical=True
         "isolated_singularity": (
             "isolated"
             if verdict.consolidated == "smooth"
-            else isolated_singularity_certificate(action)
+            else isolated_singularity_certificate(action, grading)
         ),
         "inconclusive": inconclusive,
         "timings_ms": timings,

@@ -17,7 +17,8 @@ from invforms.action import (
 )
 from invforms.cones import congruence_lattice_basis, same_lattice, span_dim
 from invforms.errors import InternalCheckError, UnsupportedRouteError
-from invforms.invariants import hilbert_basis
+from invforms.invariants import monoid_basis, quotient_dimension
+from invforms.pieces import Grading
 from invforms.pullback import surjectivity_check
 
 
@@ -77,7 +78,7 @@ def _image_moduli(action):
     return (L,) * action.n
 
 
-def monoid_smooth(action, bound):
+def monoid_smooth(action, bound, grading=None):
     """Toric criterion: the quotient is smooth iff the weight-zero monoid
     is free, i.e. the Hilbert basis is linearly independent.
 
@@ -85,7 +86,9 @@ def monoid_smooth(action, bound):
     weight-kernel lattice restricted to their span; for a certified
     basis the two tests cannot disagree.
     """
-    basis = hilbert_basis(action, bound)
+    if grading is None:
+        grading = Grading(action)
+    basis = monoid_basis(grading, bound)
     if not basis.complete:
         return "inconclusive"
     gens = [list(g) for g in basis.generators]
@@ -138,7 +141,7 @@ def fixed_locus_codimensions(action):
     }
 
 
-def isolated_singularity_certificate(action):
+def isolated_singularity_certificate(action, grading=None):
     """Conservative test that the singular locus is at most the origin.
 
     Finite part: certified when every element acting nontrivially moves
@@ -146,15 +149,13 @@ def isolated_singularity_certificate(action):
     dimension at most 2 (normal toric surfaces have isolated
     singularities).  Returns one of 'isolated', 'unknown'.
     """
-    from invforms.invariants import quotient_dimension
-
     if action.torus_rank == 0:
         for e in iter_finite_elements(action):
             moved = moved_coordinates(action, e)
             if moved and len(moved) < action.n:
                 return "unknown"
         return "isolated"
-    return "isolated" if quotient_dimension(action) <= 2 else "unknown"
+    return "isolated" if quotient_dimension(action, grading) <= 2 else "unknown"
 
 
 @dataclass(frozen=True)
@@ -167,24 +168,24 @@ class SmoothnessVerdict:
     quotient_dim: int
 
 
-def smoothness_verdict(action, bound, surjectivity_results=None):
+def smoothness_verdict(action, bound, surjectivity_results=None, grading=None):
     """Run every applicable route and consolidate.
 
     `surjectivity_results` may carry precomputed SurjectivityResult
     objects for k = 1..dim Y to avoid recomputation.
     """
-    from invforms.invariants import quotient_dimension
-
-    dim_y = quotient_dimension(action)
-    monoid = monoid_smooth(action, bound)
+    if grading is None:
+        grading = Grading(action)
+    dim_y = quotient_dimension(action, grading)
+    monoid = monoid_smooth(action, bound, grading)
     if action.torus_rank == 0:
         st = "smooth" if shephard_todd_smooth(action) else "singular"
     else:
         st = "not_applicable"
     if surjectivity_results is None:
-        basis = hilbert_basis(action, bound)
+        basis = monoid_basis(grading, bound)
         surjectivity_results = [
-            surjectivity_check(action, k, bound, basis=basis)
+            surjectivity_check(action, k, bound, basis=basis, grading=grading)
             for k in range(1, dim_y + 1)
         ]
     surj = [(res.k, res.verdict) for res in surjectivity_results]

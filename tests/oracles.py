@@ -7,7 +7,7 @@ from the raw matrix.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def frac_rank(rows):
@@ -65,6 +65,38 @@ def brute_weight0_monomials(weight_matrix, torus_rank, finite_orders, n, d):
         if not any(torus) and not any(finite):
             out.append(exps)
     return sorted(out)
+
+
+def brute_monomials(n, d):
+    """Exponents of total degree d, ascending, via raw product enumeration."""
+    if d < 0:
+        return []
+    return sorted(e for e in product(range(d + 1), repeat=n) if sum(e) == d)
+
+
+def brute_pieces(weight_matrix, torus_rank, finite_orders, n, k, d):
+    """{weight: sorted (I, exps) basis} of the k-forms of total degree d.
+
+    Scans every k-subset I and every exponent vector of degree d - k;
+    the weight of x^exps dx_I is that of x^exps times every x_i, i in I.
+    """
+    out = {}
+    monomials = brute_monomials(n, d - k)
+    for I in combinations(range(n), k):
+        for exps in monomials:
+            shifted = [e + (1 if i in I else 0) for i, e in enumerate(exps)]
+            w = brute_weight(weight_matrix, torus_rank, finite_orders, shifted)
+            out.setdefault(w, []).append((I, exps))
+    return {w: sorted(keys) for w, keys in out.items()}
+
+
+def brute_monomials_by_weight(weight_matrix, torus_rank, finite_orders, n, d):
+    """{weight: ascending exponents} of the monomials of degree d."""
+    out = {}
+    for exps in brute_monomials(n, d):
+        w = brute_weight(weight_matrix, torus_rank, finite_orders, exps)
+        out.setdefault(w, []).append(exps)
+    return out
 
 
 def random_polynomial(rng, n, max_degree, terms=3):

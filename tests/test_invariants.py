@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from invforms.action import make_action, weight_of_form, zero_weight
+from invforms.action import load_action, make_action, weight_of_form, zero_weight
 from invforms.errors import PreconditionError
 from invforms.euler import is_horizontal
 from invforms.forms import PolyForm
@@ -10,10 +12,16 @@ from invforms.invariants import (
     hilbert_series_of,
     invariant_form_generators,
     invariant_ring_series,
+    monoid_basis,
     quotient_dimension,
 )
 from invforms.linalg import Echelon
-from invforms.pieces import form_to_vector, monomials_with_weight, piece_keys
+from invforms.pieces import (
+    Grading,
+    form_to_vector,
+    monomials_with_weight,
+    piece_keys,
+)
 from invforms.poly import Polynomial
 from oracles import brute_weight0_monomials
 
@@ -183,3 +191,46 @@ def test_series_of_module_matches_piece_dimensions():
     # pieces of the invariant 1-forms have dimension 2*(d-1 monomials)
     # in even total degree d
     assert series.coefficients == (0, 0, 4, 0, 8, 0, 12)
+
+
+def _count_calls(monkeypatch, fn):
+    """Record the arguments of every engine call of `fn`, under every
+    name any invforms module binds it to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "invforms" or name.startswith("invforms."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+# t_12m3 at bound 6 lies below its certificate bound 9
+@pytest.mark.parametrize("name, bound", [("t_12m3", 6), ("z4_123", None)])
+def test_one_monoid_scan_per_analysis(monkeypatch, corpus_dir, name, bound):
+    import invforms.cones
+    import invforms.invariants
+    from invforms.report import run_analysis
+
+    act = load_action(corpus_dir / f"{name}.json")
+    scans = _count_calls(monkeypatch, invforms.invariants.hilbert_basis)
+    certs = _count_calls(monkeypatch, invforms.cones.hilbert_certificate_bound)
+    report = run_analysis(act, max_degree=bound)
+    assert len(certs) == 1
+    assert len(scans) == 1
+    bounds = report["bounds"]
+    assert scans[0][1] == max(bounds["max_degree"], bounds["hilbert_certificate"])
+
+
+def test_truncated_basis_equals_shorter_scan():
+    act = make_action(3, finite_orders=[5], weight_matrix=[[1, 2, 3]])
+    grading = Grading(act)
+    monoid_basis(grading, 9)
+    for bound in range(1, 10):
+        assert monoid_basis(grading, bound) == hilbert_basis(act, bound)
+    assert grading.monoid.search_bound == 9

@@ -1,16 +1,34 @@
-import pytest
+from fractions import Fraction
 
-from invforms.action import make_action, weight_of_form, zero_weight
-from invforms.errors import InhomogeneityError
+import pytest
+from hypothesis import given, strategies as st
+
+from invforms.action import (
+    Weight,
+    make_action,
+    weight_of_exponents,
+    weight_of_form,
+    zero_weight,
+)
+from invforms.errors import InhomogeneityError, StructuralError
+from invforms.euler import occurring_weights
 from invforms.pieces import (
+    Grading,
+    form_to_vector,
     graded_piece_basis,
+    homogeneous_data,
     monomials_of_degree,
     monomials_with_weight,
     piece_keys,
+    shifted_rows,
 )
 from invforms.forms import PolyForm
 from invforms.poly import Polynomial
-from oracles import brute_weight0_monomials
+from oracles import (
+    brute_monomials_by_weight,
+    brute_pieces,
+    brute_weight0_monomials,
+)
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 TRIV = make_action(2)
@@ -94,3 +112,91 @@ def test_graded_piece_basis_membership():
     basis = graded_piece_basis(gens, 3, zero_weight(TRIV), TRIV)
     # degree-3 piece: x d(xy), y d(xy)
     assert len(basis) == 2
+
+
+# -- lattice-point enumeration against brute force ----------------------------
+
+WEIGHTS = st.integers(-3, 3)
+
+
+@st.composite
+def actions(draw):
+    """Small random actions: n <= 4, torus rank <= 2, finite orders <= 6."""
+    n = draw(st.integers(1, 4))
+    s = draw(st.integers(0, 2))
+    orders = draw(st.lists(st.integers(2, 6), max_size=2))
+    row = st.lists(WEIGHTS, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=s + len(orders), max_size=s + len(orders)))
+    return make_action(n, s, orders, rows)
+
+
+@st.composite
+def monomial_forms(draw, n, k):
+    I = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
+    exps = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    c = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 2)))
+    return PolyForm.monomial_form(n, exps, I, c)
+
+
+def _raw(act):
+    return act.weight_matrix, act.torus_rank, act.finite_orders
+
+
+def _weight(act, raw):
+    torus, finite = raw
+    return Weight(torus, finite, act.finite_orders)
+
+
+@given(actions())
+def test_pieces_match_brute_force(act):
+    grading = Grading(act)
+    for d in range(7):
+        monos = brute_monomials_by_weight(*_raw(act), act.n, d)
+        tables = [brute_pieces(*_raw(act), act.n, k, d) for k in range(act.n + 1)]
+        form_weights = set().union(*tables)
+        got = occurring_weights(act, d, grading)
+        assert [(w.torus, w.finite) for w in got] == sorted(form_weights)
+        for raw in form_weights:
+            w = _weight(act, raw)
+            assert monomials_with_weight(act, d, w, grading) == monos.get(raw, [])
+            for k, table in enumerate(tables):
+                assert piece_keys(act, k, d, w, grading) == table.get(raw, [])
+        if act.torus_rank:
+            absent = Weight((99,) * act.torus_rank, (0,) * act.t, act.finite_orders)
+            assert monomials_with_weight(act, d, absent, grading) == []
+            assert piece_keys(act, 0, d, absent, grading) == []
+
+
+@given(st.data())
+def test_shifted_rows_match_polynomial_products(data):
+    act = data.draw(actions())
+    n = act.n
+    k = data.draw(st.integers(0, n))
+    gens = data.draw(st.lists(monomial_forms(n, k), min_size=1, max_size=3))
+    # the first generator times this monomial lies in the chosen piece
+    e0 = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    shifts = [homogeneous_data(act, g)[1:] + (list(g.terms()),) for g in gens]
+    degree = shifts[0][0] + sum(e0)
+    weight = shifts[0][1] + weight_of_exponents(act, e0)
+    grading = Grading(act)
+    keys = piece_keys(act, k, degree, weight, grading)
+    positions = {key: i for i, key in enumerate(keys)}
+
+    got = list(shifted_rows(act, shifts, degree, weight, positions, grading))
+    want = []
+    for g, (dg, wg, _) in zip(gens, shifts):
+        rest = weight - wg
+        monos = brute_monomials_by_weight(*_raw(act), n, degree - dg)
+        for e in monos.get((rest.torus, rest.finite), []):
+            scaled = g * Polynomial.monomial(n, e)
+            want.append(form_to_vector(scaled, positions, len(keys)))
+    assert got == want
+    assert got
+
+
+def test_shifted_rows_reject_terms_outside_the_piece():
+    grading = Grading(TRIV)
+    positions = {((0,), (1, 0)): 0}  # x dx only; y dx is missing
+    shifts = [(1, zero_weight(TRIV), list(DX.terms()))]
+    with pytest.raises(StructuralError):
+        list(shifted_rows(TRIV, shifts, 2, zero_weight(TRIV), positions, grading))
