@@ -10,7 +10,7 @@ convention that a form's total degree counts each dx once.
 
 from invforms.action import finite_reflection_elements, zero_weight
 from invforms.cones import facet_normals, in_relative_interior
-from invforms.errors import InternalCheckError, PreconditionError
+from invforms.errors import PreconditionError
 from invforms.invariants import (
     HilbertSeries,
     certified_basis,
@@ -20,7 +20,6 @@ from invforms.invariants import (
 )
 from invforms.linalg import rank_of_rows
 from invforms.pieces import Grading, monomials_with_weight
-from invforms.pullback import surjectivity_check
 
 
 def canonical_invariants(action, bound, grading=None):
@@ -66,34 +65,6 @@ def torus_part_strongly_stable(action, grading=None):
     return dim_y == action.n - generic_orbit
 
 
-def canonical_series_check(action, truncation):
-    """Equality of the two canonical-module series up to `truncation`.
-
-    Preconditions: the finite part is small (pseudo-reflections break
-    the identification) and the torus part is strongly stable.
-    """
-    grading = Grading(action)
-    reflections = finite_reflection_elements(action)
-    if reflections:
-        raise PreconditionError(
-            "finite part is not small; pseudo-reflections present: "
-            + ", ".join(str(r) for r in reflections)
-        )
-    if not torus_part_strongly_stable(action, grading):
-        raise PreconditionError(
-            "torus part is not strongly stable; generic orbits are not "
-            "closed with finite stabilizer"
-        )
-    forms = hilbert_series_of(
-        canonical_invariants(action, truncation, grading),
-        action,
-        truncation,
-        grading,
-    )
-    toric = toric_canonical_series(action, truncation, grading)
-    return forms.coefficients == toric.coefficients
-
-
 def canonical_comparison(action, truncation, grading=None):
     """Both series plus the identification verdict, precondition-aware.
 
@@ -125,20 +96,3 @@ def canonical_comparison(action, truncation, grading=None):
         "caveat": reason,
     }
 
-
-def containment_chain_check(action, k, bound):
-    """Degreewise containment of the pullback image in the invariant
-    horizontal forms: (degree, image dim, target dim, equal) rows.
-
-    A violated inequality is an engine bug, not a mathematical outcome.
-    """
-    res = surjectivity_check(action, k, bound)
-    rows = []
-    for d, tdim, idim, coker in res.table.rows:
-        if idim > tdim:
-            raise InternalCheckError(
-                f"containment violated in degree {d}: image {idim} > "
-                f"target {tdim}"
-            )
-        rows.append((d, idim, tdim, coker == 0))
-    return tuple(rows)

@@ -9,7 +9,7 @@ operators; the finite part contributes none (its Lie algebra is zero).
 
 from dataclasses import dataclass
 
-from invforms.action import weight_of_exponents
+from invforms.action import weight_of_exponents, zero_weight
 from invforms.errors import InhomogeneityError, PreconditionError
 from invforms.forms import PolyForm
 from invforms.linalg import Echelon, echelon_of
@@ -89,11 +89,15 @@ def _euler_rows(action, k, src_keys, tgt_positions, torus_indices):
     return rows
 
 
-def horizontal_piece(action, k, degree, weight, grading=None):
-    """Canonical basis of the (degree, weight) piece of the horizontal k-forms."""
+def horizontal_piece(action, k, degree, weight, grading=None, keys=None):
+    """Canonical basis of the (degree, weight) piece of the horizontal k-forms.
+
+    `keys`, when given, is that piece's `piece_keys` basis.
+    """
     if grading is None:
         grading = Grading(action)
-    keys = piece_keys(action, k, degree, weight, grading)
+    if keys is None:
+        keys = piece_keys(action, k, degree, weight, grading)
     if not keys:
         return []
     if action.torus_rank == 0:
@@ -116,6 +120,12 @@ def horizontal_piece(action, k, degree, weight, grading=None):
     ]
     kern = echelon_of(equations, len(keys)).kernel_basis()
     return [vector_to_form(action.n, k, v, keys) for v in kern]
+
+
+def horizontal_vectors(action, k, degree, keys, positions, grading):
+    """Coordinates of the weight-zero `horizontal_piece` in its basis `keys`."""
+    forms = horizontal_piece(action, k, degree, zero_weight(action), grading, keys)
+    return [form_to_vector(f, positions, len(keys)) for f in forms]
 
 
 @dataclass(frozen=True)

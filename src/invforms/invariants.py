@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from invforms.action import zero_weight
 from invforms.cones import span_dim
 from invforms.errors import PreconditionError
-from invforms.euler import horizontal_piece
+from invforms.euler import horizontal_vectors
 from invforms.linalg import Echelon
 from invforms.pieces import (
     Grading,
-    form_to_vector,
     monomials_with_weight,
     piece_keys,
     shifted_rows,
@@ -140,8 +139,7 @@ class GradedSubmodule:
 def _module_piece_vectors(action, k, degree, horizontal, keys, positions, grading):
     """Canonical basis vectors of the weight-zero module piece."""
     if horizontal and action.torus_rank > 0:
-        forms = horizontal_piece(action, k, degree, zero_weight(action), grading)
-        return [form_to_vector(f, positions, len(keys)) for f in forms]
+        return horizontal_vectors(action, k, degree, keys, positions, grading)
     vecs = []
     for i in range(len(keys)):
         v = [0] * len(keys)
@@ -163,7 +161,6 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
         raise PreconditionError(f"bound {bound} below form degree {k}")
     if grading is None:
         grading = Grading(action)
-    basis = monoid_basis(grading, max(bound, 1))
     w0 = zero_weight(action)
     gens = []
     degrees = []
@@ -186,9 +183,9 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
                 gens.append(g)
                 degrees.append(d)
                 shifts.append((d, w0, list(g.terms())))
-    return GradedSubmodule(
-        k, tuple(gens), tuple(degrees), bound, basis.complete
-    )
+    # monoid_basis(grading, max(bound, 1)).complete, without a monoid scan
+    complete = max(bound, 1) >= grading.certificate_bound()
+    return GradedSubmodule(k, tuple(gens), tuple(degrees), bound, complete)
 
 
 def invariant_ring_series(action, truncation, grading=None):

@@ -2,36 +2,63 @@
 
 Everything is done fraction-free over the integers: rows of Fractions
 are scaled to primitive integer rows, and elimination keeps entries
-gcd-stripped.  The inner row-reduction loop is provided by a compiled
-extension when available, with a pure-Python twin selected otherwise
-(set INVFORMS_PURE=1 to force the fallback).
+gcd-stripped.  Arithmetic is on Python ints, so entries may grow
+arbitrarily large.
 
 All outputs are canonical: the reduced echelon form of a row space is
 unique, kernels are returned in reduced form with ascending free
-columns, so results are byte-stable across backends and runs.
+columns, so results are byte-stable across runs.
 """
 
-import os
 from bisect import bisect_left
 from math import gcd, lcm
 
-if os.environ.get("INVFORMS_PURE"):
-    from invforms import _echelon_py as _backend
+# Read by the benchmark's environment stamp; there is one backend.
+BACKEND = "pure"
 
-    BACKEND = "pure"
-else:
-    try:
-        from invforms import _echelon_c as _backend
 
-        BACKEND = "compiled"
-    except ImportError:
-        from invforms import _echelon_py as _backend
+def normalize_row(row):
+    """Divide by the content and make the leading nonzero entry positive."""
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+    if g == 0:
+        return list(row)
+    lead = 0
+    for x in row:
+        if x:
+            lead = x
+            break
+    if lead < 0:
+        g = -g
+    return [x // g for x in row]
 
-        BACKEND = "pure"
 
-normalize_row = _backend.normalize_row
-combine_rows = _backend.combine_rows
-reduce_row = _backend.reduce_row
+def combine_rows(a, b, p, q):
+    """Return the row p*a - q*b."""
+    return [p * x - q * y for x, y in zip(a, b)]
+
+
+def reduce_row(row, rows, pivots):
+    """Eliminate `row` against echelon `rows` (pivot columns `pivots`).
+
+    Rows must be sorted by pivot column and each have a positive pivot
+    entry.  The fully reduced row is returned normalized.
+    """
+    cur = list(row)
+    for erow, p in zip(rows, pivots):
+        c = cur[p]
+        if c:
+            lead = erow[p]
+            cur = [lead * x - c * y for x, y in zip(cur, erow)]
+            g = 0
+            for x in cur:
+                if x:
+                    g = gcd(g, x)
+            if g > 1:
+                cur = [x // g for x in cur]
+    return normalize_row(cur)
 
 
 def int_row(row):

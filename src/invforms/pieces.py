@@ -22,11 +22,10 @@ calls.
 from itertools import combinations
 from operator import add
 
-from invforms.action import weight_of_exponents, weight_of_form
+from invforms.action import weight_of_exponents
 from invforms.cones import hilbert_certificate_bound
-from invforms.errors import InhomogeneityError, StructuralError
+from invforms.errors import StructuralError
 from invforms.forms import PolyForm
-from invforms.linalg import Echelon
 from invforms.poly import Polynomial
 
 
@@ -150,45 +149,3 @@ def vector_to_form(n, k, vec, keys):
             comps.setdefault(I, {})[exps] = c
     return PolyForm(n, k, {I: Polynomial(n, t) for I, t in comps.items()})
 
-
-def homogeneous_data(action, form):
-    """(form degree, total degree, weight) of a homogeneous nonzero form."""
-    degs = form.total_degrees()
-    if len(degs) > 1:
-        raise InhomogeneityError(
-            f"form mixes total degrees {sorted(degs)}"
-        )
-    w = weight_of_form(action, form)
-    return form.degree, (degs.pop() if degs else form.degree), w
-
-
-def graded_piece_basis(generators, degree, weight, action):
-    """Basis of one piece of the polynomial-ring span of the generators.
-
-    Generators must share a form degree and be homogeneous; the result
-    is the canonical reduced basis of the (degree, weight) component of
-    the submodule they generate, as forms.
-    """
-    gens = [g for g in generators if not g.is_zero]
-    if not gens:
-        return []
-    k = gens[0].degree
-    for g in gens:
-        if g.n != action.n:
-            raise StructuralError(
-                f"generator over {g.n} variables under an action on {action.n}"
-            )
-        if g.degree != k:
-            raise StructuralError(
-                f"generators mix form degrees {k} and {g.degree}"
-            )
-    grading = Grading(action)
-    keys = piece_keys(action, k, degree, weight, grading)
-    if not keys:
-        return []
-    positions = {key: i for i, key in enumerate(keys)}
-    shifts = [homogeneous_data(action, g)[1:] + (list(g.terms()),) for g in gens]
-    ech = Echelon(len(keys))
-    for row in shifted_rows(action, shifts, degree, weight, positions, grading):
-        ech.insert(row)
-    return [vector_to_form(action.n, k, row, keys) for row in ech.rows]

@@ -116,18 +116,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             if not self.terms:
@@ -160,29 +148,6 @@ class Polynomial:
         """Max total degree, or -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def leading_term(self):
-        """(exps, coeff) of the largest term in (degree, exps) order."""
-        key = max(self.terms, key=lambda e: (sum(e), e))
-        return key, self.terms[key]
-
-    def exact_div(self, other):
-        """Exact quotient self/other; raises if the division is not exact."""
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = self
-        out = {}
-        de, dc = other.leading_term()
-        while not rem.is_zero:
-            re, rc = rem.leading_term()
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(e < 0 for e in qe):
-                raise ArithmeticError("inexact polynomial division")
-            qc = rc / dc
-            out[qe] = out.get(qe, 0) + qc
-            rem = rem - Polynomial.monomial(self.n, qe, qc) * other
-        return Polynomial(self.n, out)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -207,36 +172,3 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self})"
 
-
-def polynomial_matrix_rank(rows):
-    """Rank over the rational function field of a matrix of polynomials.
-
-    Fraction-free Bareiss elimination; the divisions by the previous
-    pivot are exact, so all arithmetic stays polynomial.
-    """
-    mat = [list(r) for r in rows]
-    if not mat or not mat[0]:
-        return 0
-    m, ncols = len(mat), len(mat[0])
-    rank = 0
-    prev = None
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, m):
-            if not mat[i][col].is_zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        p = mat[rank][col]
-        for i in range(rank + 1, m):
-            for j in range(col + 1, ncols):
-                num = p * mat[i][j] - mat[i][col] * mat[rank][j]
-                mat[i][j] = num if prev is None else num.exact_div(prev)
-            mat[i][col] = Polynomial.zero(p.n)
-        prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank

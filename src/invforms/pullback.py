@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from invforms.action import zero_weight
-from invforms.cones import span_dim
 from invforms.errors import InternalCheckError
-from invforms.euler import horizontal_piece
-from invforms.invariants import certified_basis, monoid_basis
+from invforms.euler import horizontal_vectors
+from invforms.invariants import monoid_basis
 from invforms.linalg import Echelon, echelon_of
 from invforms.pieces import (
     Grading,
@@ -24,7 +23,7 @@ from invforms.pieces import (
     shifted_rows,
     vector_to_form,
 )
-from invforms.poly import Polynomial, polynomial_matrix_rank
+from invforms.poly import Polynomial
 from invforms.forms import PolyForm
 
 
@@ -129,11 +128,6 @@ def target_generator_bound(action, k, basis):
     return support_bound
 
 
-def _target_piece_vectors(action, k, d, keys, positions, grading):
-    forms = horizontal_piece(action, k, d, zero_weight(action), grading)
-    return [form_to_vector(f, positions, len(keys)) for f in forms]
-
-
 def surjectivity_check(action, k, bound, basis=None, grading=None):
     """Degreewise cokernel of the invariant pullback in form degree k.
 
@@ -162,7 +156,7 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
             rows.append((d, 0, 0, 0))
             continue
         positions = {key: i for i, key in enumerate(keys)}
-        target_vecs = _target_piece_vectors(action, k, d, keys, positions, grading)
+        target_vecs = horizontal_vectors(action, k, d, keys, positions, grading)
         ech = Echelon(len(keys))
         for row in shifted_rows(action, shifts, d, w0, positions, grading):
             ech.insert(row)
@@ -224,34 +218,3 @@ def _cokernel_witness(action, k, keys, target_vecs, image_rows):
     ]
     return vector_to_form(action.n, k, vec, keys)
 
-
-def torsion_free_rank(action, k, basis=None):
-    """Generic rank of the pullback image: exact elimination over the
-    rational function field on the wedge-generator matrix."""
-    if k > action.n or k < 0:
-        return 0
-    if basis is None:
-        basis = certified_basis(Grading(action))
-    wedges = _wedge_candidates(action, basis, k)
-    subsets = [tuple(c) for c in combinations(range(action.n), k)]
-    rows = [
-        [w.components.get(I, Polynomial.zero(action.n)) for I in subsets]
-        for w in wedges
-    ]
-    rank = polynomial_matrix_rank(rows)
-    expected = _binomial(span_dim(basis.generators, action.n), k)
-    if basis.complete and rank != expected:
-        raise InternalCheckError(
-            f"generic rank {rank} of the pullback image differs from "
-            f"C(dim Y, {k}) = {expected}"
-        )
-    return rank
-
-
-def _binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -2,7 +2,7 @@
 
 The report is a plain dict serialized with sorted keys and two-space
 indentation; with the "timings_ms" key removed it is byte-identical
-across runs and backends for a fixed input and bound.
+across runs for a fixed input and bound.
 """
 
 import json

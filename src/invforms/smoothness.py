@@ -129,18 +129,6 @@ def _sublattice_in_span(lattice_rows, gens, n):
     return hnf_rows(vecs, n)[0]
 
 
-def fixed_locus_codimensions(action):
-    """Codimension of the fixed locus of each finite-part element.
-
-    Pure data (an element moving c coordinates fixes a codimension-c
-    subspace); no verdict consumes it beyond the c = 1 reflections.
-    """
-    return {
-        GroupElement(e): len(moved_coordinates(action, e))
-        for e in iter_finite_elements(action)
-    }
-
-
 def isolated_singularity_certificate(action, grading=None):
     """Conservative test that the singular locus is at most the origin.
 

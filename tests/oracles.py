@@ -9,6 +9,8 @@ from the raw matrix.
 from fractions import Fraction
 from itertools import combinations, product
 
+from hypothesis import strategies as st
+
 
 def frac_rank(rows):
     """Naive Gaussian elimination rank over the rationals."""
@@ -136,3 +138,85 @@ def random_monomial_form(rng, n, k, coeff_degree):
         exps[rng.randrange(n)] += 1
     c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
     return PolyForm.monomial_form(n, tuple(exps), I, c)
+
+
+@st.composite
+def actions(draw, max_n=4, max_torus=2):
+    """Small random actions: n <= max_n, torus rank <= max_torus, at most
+    two finite factors of order <= 6, weights in [-3, 3]."""
+    from invforms.action import make_action
+
+    n = draw(st.integers(1, max_n))
+    s = draw(st.integers(0, max_torus))
+    orders = draw(st.lists(st.integers(2, 6), max_size=2))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=s + len(orders), max_size=s + len(orders)))
+    return make_action(n, s, orders, rows)
+
+
+def leading_term(terms):
+    """(exps, coeff) of the largest term in (degree, exps) order."""
+    key = max(terms, key=lambda e: (sum(e), e))
+    return key, terms[key]
+
+
+def exact_div(p, q):
+    """Exact quotient p/q of Polynomials; raises if the division is not exact."""
+    from invforms.poly import Polynomial
+
+    if q.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    de, dc = leading_term(q.terms)
+    rem = dict(p.terms)
+    out = {}
+    while rem:
+        re, rc = leading_term(rem)
+        qe = tuple(a - b for a, b in zip(re, de))
+        if any(e < 0 for e in qe):
+            raise ArithmeticError("inexact polynomial division")
+        qc = out[qe] = rc / dc
+        for e, c in q.terms.items():
+            key = tuple(a + b for a, b in zip(qe, e))
+            left = rem.get(key, 0) - qc * c
+            if left:
+                rem[key] = left
+            else:
+                del rem[key]
+    return Polynomial(p.n, out)
+
+
+def polynomial_matrix_rank(rows):
+    """Rank over the rational function field of a matrix of Polynomials.
+
+    Fraction-free Bareiss elimination; the divisions by the previous
+    pivot are exact, so all arithmetic stays polynomial.  This is the
+    generic rank of the matrix, an oracle for module ranks.
+    """
+    from invforms.poly import Polynomial
+
+    mat = [list(r) for r in rows]
+    if not mat or not mat[0]:
+        return 0
+    m, ncols = len(mat), len(mat[0])
+    rank = 0
+    prev = None
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, m):
+            if not mat[i][col].is_zero:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        p = mat[rank][col]
+        for i in range(rank + 1, m):
+            for j in range(col + 1, ncols):
+                num = p * mat[i][j] - mat[i][col] * mat[rank][j]
+                mat[i][j] = num if prev is None else exact_div(num, prev)
+            mat[i][col] = Polynomial.zero(p.n)
+        prev = p
+        rank += 1
+        if rank == m:
+            break
+    return rank

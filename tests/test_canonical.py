@@ -1,18 +1,14 @@
-import pytest
-
 from invforms.action import make_action
 from invforms.canonical import (
-    containment_chain_check,
-    canonical_series_check,
     canonical_comparison,
     canonical_invariants,
     toric_canonical_series,
     torus_part_strongly_stable,
 )
-from invforms.errors import PreconditionError
 from invforms.forms import PolyForm, wedge
 from invforms.invariants import hilbert_series_of, invariant_ring_series
 from invforms.poly import Polynomial
+from invforms.pullback import surjectivity_check
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 Z3 = make_action(2, finite_orders=[3], weight_matrix=[[1, 1]])
@@ -53,23 +49,29 @@ def test_toric_canonical_series_examples():
     assert toric_canonical_series(T, 4).coefficients == (0, 0, 1, 0, 1)
 
 
+def _certified_match(act, truncation):
+    doc = canonical_comparison(act, truncation)
+    return doc["identification_certified"] and doc["match"]
+
+
 def test_canonical_series_examples_agree():
-    assert canonical_series_check(Z2, 6)
-    assert canonical_series_check(Z3, 6)
-    assert canonical_series_check(T, 4)
+    assert _certified_match(Z2, 6)
+    assert _certified_match(Z3, 6)
+    assert _certified_match(T, 4)
 
 
 def test_canonical_series_names_reflections():
-    with pytest.raises(PreconditionError) as err:
-        canonical_series_check(Z2R, 6)
-    assert "(1,)" in str(err.value)
+    doc = canonical_comparison(Z2R, 6)
+    assert not doc["identification_certified"]
+    assert "(1,)" in doc["caveat"]
 
 
 def test_canonical_series_torus_stability_precondition():
     act = make_action(2, torus_rank=1, weight_matrix=[[1, 1]])
     assert not torus_part_strongly_stable(act)
-    with pytest.raises(PreconditionError):
-        canonical_series_check(act, 4)
+    doc = canonical_comparison(act, 4)
+    assert not doc["identification_certified"]
+    assert doc["caveat"] == "torus part not strongly stable"
     assert torus_part_strongly_stable(T)
 
 
@@ -86,15 +88,15 @@ def test_canonical_comparison_report_only():
 
 
 def test_chain_check_a1():
-    rows = containment_chain_check(Z2, 1, 6)
-    gaps = [d for d, idim, tdim, equal in rows if not equal]
+    rows = surjectivity_check(Z2, 1, 6).table.rows
+    gaps = [d for d, tdim, idim, coker in rows if coker]
     assert gaps == [2]
-    for d, idim, tdim, _ in rows:
+    for d, tdim, idim, _ in rows:
         assert idim <= tdim
 
 
 def test_chain_check_equality_on_smooth_and_trivial():
     for act, bound in [(Z2R, 6), (T, 6), (make_action(2), 4)]:
         for k in range(1, 3):
-            rows = containment_chain_check(act, k, bound)
-            assert all(equal for _, _, _, equal in rows)
+            rows = surjectivity_check(act, k, bound).table.rows
+            assert all(coker == 0 for _, _, _, coker in rows)

@@ -227,6 +227,27 @@ def test_one_monoid_scan_per_analysis(monkeypatch, corpus_dir, name, bound):
     assert scans[0][1] == max(bounds["max_degree"], bounds["hilbert_certificate"])
 
 
+def test_canonical_comparison_scans_the_monoid_once(monkeypatch, corpus_dir):
+    import invforms.invariants
+    from invforms.canonical import canonical_comparison
+
+    act = load_action(corpus_dir / "z4_123.json")
+    scans = _count_calls(monkeypatch, invforms.invariants.hilbert_basis)
+    canonical_comparison(act, 10)
+    assert len(scans) == 1
+
+
+def test_target_pieces_reuse_their_keys(monkeypatch, corpus_dir):
+    import invforms.pieces
+    from invforms.pullback import surjectivity_check
+
+    act = load_action(corpus_dir / "z4_123.json")
+    calls = _count_calls(monkeypatch, invforms.pieces.piece_keys)
+    surjectivity_check(act, 1, 12)
+    # 13 degrees of the table and 3 degrees of wedge generators
+    assert len(calls) == 16
+
+
 def test_truncated_basis_equals_shorter_scan():
     act = make_action(3, finite_orders=[5], weight_matrix=[[1, 2, 3]])
     grading = Grading(act)

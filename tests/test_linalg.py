@@ -1,19 +1,10 @@
-"""Row-reduction backends: correctness against a naive oracle, and
-agreement between the compiled and pure implementations."""
+"""Exact row reduction: correctness against a naive oracle."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from invforms import _echelon_py
 from invforms.linalg import Echelon, echelon_of, kernel_of_rows, rank_of_rows
 from oracles import frac_kernel_dim, frac_rank
-
-try:
-    from invforms import _echelon_c
-except ImportError:
-    _echelon_c = None
 
 
 def random_matrix(rng, nrows, ncols, density=0.7):
@@ -78,31 +69,6 @@ def test_contains_and_insert_are_consistent():
             before = ech.contains(row)
             pivot = ech.insert(row)
             assert (pivot is None) == before
-
-
-@pytest.mark.skipif(_echelon_c is None, reason="compiled backend not built")
-def test_backends_agree():
-    rng = random.Random(19)
-    for _ in range(40):
-        ncols = rng.randint(1, 7)
-        row = [rng.randint(-9, 9) for _ in range(ncols)]
-        assert _echelon_c.normalize_row(row) == _echelon_py.normalize_row(row)
-        a = [rng.randint(-9, 9) for _ in range(ncols)]
-        b = [rng.randint(-9, 9) for _ in range(ncols)]
-        p, q = rng.randint(-4, 4), rng.randint(-4, 4)
-        assert _echelon_c.combine_rows(a, b, p, q) == _echelon_py.combine_rows(
-            a, b, p, q
-        )
-    for _ in range(20):
-        ncols = rng.randint(2, 6)
-        mat = random_matrix(rng, 4, ncols)
-        ech = Echelon(ncols)
-        for row in mat:
-            ech.insert(row)
-        probe = [rng.randint(-9, 9) for _ in range(ncols)]
-        assert _echelon_c.reduce_row(
-            probe, ech.rows, ech.pivots
-        ) == _echelon_py.reduce_row(probe, ech.rows, ech.pivots)
 
 
 def test_bignum_entries_survive():

@@ -10,13 +10,11 @@ from invforms.action import (
     weight_of_form,
     zero_weight,
 )
-from invforms.errors import InhomogeneityError, StructuralError
+from invforms.errors import StructuralError
 from invforms.euler import occurring_weights
 from invforms.pieces import (
     Grading,
     form_to_vector,
-    graded_piece_basis,
-    homogeneous_data,
     monomials_of_degree,
     monomials_with_weight,
     piece_keys,
@@ -25,6 +23,7 @@ from invforms.pieces import (
 from invforms.forms import PolyForm
 from invforms.poly import Polynomial
 from oracles import (
+    actions,
     brute_monomials_by_weight,
     brute_pieces,
     brute_weight0_monomials,
@@ -32,10 +31,7 @@ from oracles import (
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 TRIV = make_action(2)
-X = Polynomial.variable(2, 0)
-Y = Polynomial.variable(2, 1)
 DX = PolyForm.dx(2, 0)
-DY = PolyForm.dx(2, 1)
 
 
 def test_monomials_of_degree():
@@ -76,58 +72,7 @@ def test_piece_keys_order_and_content():
     assert piece_keys(Z2, 3, 5, zero_weight(Z2)) == []
 
 
-def test_graded_piece_basis_full_piece():
-    basis = graded_piece_basis([DX, DY], 1, zero_weight(TRIV), TRIV)
-    assert len(basis) == 2
-    for f in basis:
-        assert f.degree == 1
-        assert f.total_degrees() == {1}
-
-
-def test_graded_piece_basis_derived_example():
-    gens = [
-        PolyForm.from_poly(X * X).d(),
-        PolyForm.from_poly(X * Y).d(),
-        PolyForm.from_poly(Y * Y).d(),
-    ]
-    basis = graded_piece_basis(gens, 2, zero_weight(Z2), Z2)
-    assert len(basis) == 3
-    for f in basis:
-        assert weight_of_form(Z2, f).is_zero
-        assert f.total_degrees() == {2}
-
-
-def test_graded_piece_basis_below_form_degree_is_empty():
-    assert graded_piece_basis([DX], 0, zero_weight(TRIV), TRIV) == []
-
-
-def test_graded_piece_basis_rejects_inhomogeneous():
-    with pytest.raises(InhomogeneityError):
-        graded_piece_basis([DX + X * DX], 2, zero_weight(TRIV), TRIV)
-
-
-def test_graded_piece_basis_membership():
-    # pieces of the span of d(xy) over the polynomial ring
-    gens = [PolyForm.from_poly(X * Y).d()]
-    basis = graded_piece_basis(gens, 3, zero_weight(TRIV), TRIV)
-    # degree-3 piece: x d(xy), y d(xy)
-    assert len(basis) == 2
-
-
 # -- lattice-point enumeration against brute force ----------------------------
-
-WEIGHTS = st.integers(-3, 3)
-
-
-@st.composite
-def actions(draw):
-    """Small random actions: n <= 4, torus rank <= 2, finite orders <= 6."""
-    n = draw(st.integers(1, 4))
-    s = draw(st.integers(0, 2))
-    orders = draw(st.lists(st.integers(2, 6), max_size=2))
-    row = st.lists(WEIGHTS, min_size=n, max_size=n)
-    rows = draw(st.lists(row, min_size=s + len(orders), max_size=s + len(orders)))
-    return make_action(n, s, orders, rows)
 
 
 @st.composite
@@ -175,7 +120,10 @@ def test_shifted_rows_match_polynomial_products(data):
     gens = data.draw(st.lists(monomial_forms(n, k), min_size=1, max_size=3))
     # the first generator times this monomial lies in the chosen piece
     e0 = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    shifts = [homogeneous_data(act, g)[1:] + (list(g.terms()),) for g in gens]
+    shifts = [
+        (g.total_degrees().pop(), weight_of_form(act, g), list(g.terms()))
+        for g in gens
+    ]
     degree = shifts[0][0] + sum(e0)
     weight = shifts[0][1] + weight_of_exponents(act, e0)
     grading = Grading(act)

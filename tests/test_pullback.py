@@ -1,14 +1,20 @@
+from itertools import combinations
+from math import comb
+
+from hypothesis import example, given
+
 from invforms.action import make_action, weight_of_form
 from invforms.euler import is_horizontal
 from invforms.forms import PolyForm, wedge
-from invforms.invariants import hilbert_basis
+from invforms.invariants import hilbert_basis, quotient_dimension
+from invforms.pieces import Grading
 from invforms.pullback import (
     pullback_image,
     surjectivity_check,
     target_generator_bound,
-    torsion_free_rank,
 )
 from invforms.poly import Polynomial
+from oracles import actions, polynomial_matrix_rank
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 Z2R = make_action(2, finite_orders=[2], weight_matrix=[[1, 0]])
@@ -114,18 +120,37 @@ def test_surjectivity_inconclusive_below_target_bound():
     assert surjectivity_check(Z2, 1, 2).verdict == "not_surjective"
 
 
-def test_image_never_exceeds_target():
-    for act in [Z2, Z2R, T]:
-        for k in range(1, act.n + 1):
-            res = surjectivity_check(act, k, 6)
-            for _, tdim, idim, coker in res.table.rows:
-                assert idim <= tdim
-                assert coker == tdim - idim
+@given(actions(max_n=3, max_torus=1))
+@example(Z2)
+@example(Z2R)
+@example(T)
+def test_image_never_exceeds_target(act):
+    grading = Grading(act)
+    for k in range(act.n + 1):
+        rows = surjectivity_check(act, k, 6, grading=grading).table.rows
+        for _, tdim, idim, coker in rows:
+            assert 0 <= idim <= tdim
+            assert coker == tdim - idim
 
 
 def test_target_generator_bound_finite():
     basis = hilbert_basis(Z2, 6)
     assert target_generator_bound(Z2, 1, basis) == 3  # group order + k
+
+
+def torsion_free_rank(act, k):
+    """Generic rank of the pullback image: the rank of its wedge
+    generators over the rational function field, which must be C(dim Y, k)."""
+    img = pullback_image(act, k, 6)
+    assert img.certified
+    zero = Polynomial.zero(act.n)
+    rows = [
+        [w.components.get(I, zero) for I in combinations(range(act.n), k)]
+        for w in img.wedge_generators
+    ]
+    rank = polynomial_matrix_rank(rows)
+    assert rank == comb(quotient_dimension(act), k)
+    return rank
 
 
 def test_torsion_free_rank():

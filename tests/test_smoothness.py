@@ -133,16 +133,6 @@ def test_validate_reports_smallness():
     assert not make_action(2, finite_orders=[6], weight_matrix=[[1, 3]]).finite_small
 
 
-def test_fixed_locus_codimensions():
-    from invforms.smoothness import fixed_locus_codimensions, GroupElement
-
-    codims = fixed_locus_codimensions(Z6)
-    assert codims[GroupElement((0,))] == 0
-    assert codims[GroupElement((2,))] == 1  # the reflection
-    assert codims[GroupElement((3,))] == 2  # diag(-1, -1)
-    assert codims[GroupElement((1,))] == 2
-
-
 def test_isolated_certificate():
     assert isolated_singularity_certificate(Z2) == "isolated"
     z2_110 = make_action(3, finite_orders=[2], weight_matrix=[[1, 1, 0]])
