@@ -103,6 +103,9 @@ def cmd_analyze(args):
             return 1
     try:
         report = run_analysis(action, max_degree=args.max_degree, form_degrees=ks)
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -211,6 +214,12 @@ def cmd_euler(args):
             file=sys.stderr,
         )
         return 1
+    if not 1 <= args.torus_index <= action.torus_rank:
+        print(
+            f"error: --torus-index {args.torus_index} outside 1..{action.torus_rank}",
+            file=sys.stderr,
+        )
+        return 1
     ti = args.torus_index - 1
     try:
         if args.weight is None:
@@ -255,6 +264,9 @@ def cmd_canonical(args):
     action = _load(args.spec)
     try:
         doc = canonical_comparison(action, args.max_degree)
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

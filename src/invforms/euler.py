@@ -8,12 +8,24 @@ operators; the finite part contributes none (its Lie algebra is zero).
 """
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 
-from invforms.action import weight_of_exponents, zero_weight
+from invforms.action import weight_of_exponents
 from invforms.errors import InhomogeneityError, PreconditionError
 from invforms.forms import PolyForm
 from invforms.linalg import Echelon, echelon_of
-from invforms.pieces import Grading, form_to_vector, piece_keys, vector_to_form
+from invforms.pieces import (
+    Grading,
+    block_form,
+    block_key,
+    block_points,
+    exterior_basis,
+    form_to_vector,
+    piece_keys,
+    support,
+    vector_to_form,
+)
 from invforms.poly import Polynomial
 
 
@@ -89,43 +101,59 @@ def _euler_rows(action, k, src_keys, tgt_positions, torus_indices):
     return rows
 
 
-def horizontal_piece(action, k, degree, weight, grading=None, keys=None):
+def horizontal_piece(action, k, degree, weight, grading=None):
     """Canonical basis of the (degree, weight) piece of the horizontal k-forms.
 
-    `keys`, when given, is that piece's `piece_keys` basis.
+    The piece's kernel basis is the union of its blocks' kernel bases,
+    in the piece order of their free columns.
     """
     if grading is None:
         grading = Grading(action)
-    if keys is None:
-        keys = piece_keys(action, k, degree, weight, grading)
-    if not keys:
-        return []
-    if action.torus_rank == 0:
-        return [
-            PolyForm.monomial_form(action.n, exps, I) for I, exps in keys
-        ]
-    tgt_keys = piece_keys(action, k - 1, degree, weight, grading) if k else []
-    tgt_positions = {key: i for i, key in enumerate(tgt_keys)}
-    rows = _euler_rows(
-        action, k, keys, tgt_positions, range(action.torus_rank)
-    )
-    # kernel of the map = solutions of (row per target coordinate) v = 0
-    if not tgt_keys or k == 0:
-        return [
-            PolyForm.monomial_form(action.n, exps, I) for I, exps in keys
-        ]
-    equations = [
-        [rows[b][i] for b in range(len(keys))]
-        for i in range(len(rows[0]))
-    ]
-    kern = echelon_of(equations, len(keys)).kernel_basis()
-    return [vector_to_form(action.n, k, v, keys) for v in kern]
+    rows = torus_rows(action)
+    bases = {}
+    found = []
+    for m in block_points(grading, k, degree, weight):
+        s = support(m)
+        if s not in bases:
+            bases[s] = horizontal_block(action.n, k, s, rows)
+        found.extend((block_key(action.n, k, m, v), m, v) for v in bases[s])
+    found.sort(key=itemgetter(0))
+    return [block_form(action.n, k, m, v) for _, m, v in found]
 
 
-def horizontal_vectors(action, k, degree, keys, positions, grading):
-    """Coordinates of the weight-zero `horizontal_piece` in its basis `keys`."""
-    forms = horizontal_piece(action, k, degree, zero_weight(action), grading, keys)
-    return [form_to_vector(f, positions, len(keys)) for f in forms]
+def torus_rows(action):
+    return [action.torus_row(j) for j in range(action.torus_rank)]
+
+
+def horizontal_block(n, k, supp, rows):
+    """Canonical basis of the k-forms at a lattice point with support
+    `supp` that the contractions by the torus `rows` kill.
+
+    On the block, a contraction is the interior product with the row
+    restricted to the support: x^(m - e_I) dx_I goes to
+    sum_r (-1)^(k-1-r) w_(I_r) x^(m - e_J) dx_J, J = I minus I_r, in the
+    (k-1)-block at the same m.  The kernel basis (one vector per free
+    column, ascending) is returned as block vectors (`exterior_basis`).
+    """
+    cols = list(combinations(supp, k))
+    positions = {I: j for j, I in enumerate(cols)}
+    equations = []
+    for w in rows if k else ():
+        for J in combinations(supp, k - 1):
+            eq = [0] * len(cols)
+            for i in supp:
+                if w[i] and i not in J:
+                    I = tuple(sorted(J + (i,)))
+                    eq[positions[I]] = -w[i] if (k - 1 - I.index(i)) % 2 else w[i]
+            equations.append(eq)
+    place = {I: j for j, I in enumerate(exterior_basis(n, k))}
+    out = []
+    for v in echelon_of(equations, len(cols)).kernel_basis():
+        vec = [0] * len(place)
+        for I, c in zip(cols, v):
+            vec[place[I]] = c
+        out.append(vec)
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,23 +2,28 @@
 
 The weight-zero monomials form a normal affine monoid; its Hilbert
 basis generates the invariant ring.  Form modules are handled one
-total degree at a time: a graded Nakayama sweep records exactly the
-piece elements not reachable from lower degrees.
+total degree at a time, and within it one lattice-point block at a
+time (see `pieces`): a graded Nakayama sweep records exactly the block
+elements not reachable from lower degrees.
 """
 
 from dataclasses import dataclass
+from math import comb
+from operator import itemgetter
 
 from invforms.action import zero_weight
 from invforms.cones import span_dim
 from invforms.errors import PreconditionError
-from invforms.euler import horizontal_vectors
-from invforms.linalg import Echelon
+from invforms.euler import horizontal_block, torus_rows
 from invforms.pieces import (
     Grading,
+    block_form,
+    block_key,
+    block_points,
+    block_span,
+    form_block,
     monomials_with_weight,
-    piece_keys,
-    shifted_rows,
-    vector_to_form,
+    support,
 )
 
 
@@ -136,56 +141,44 @@ class GradedSubmodule:
     basis_complete: bool
 
 
-def _module_piece_vectors(action, k, degree, horizontal, keys, positions, grading):
-    """Canonical basis vectors of the weight-zero module piece."""
-    if horizontal and action.torus_rank > 0:
-        return horizontal_vectors(action, k, degree, keys, positions, grading)
-    vecs = []
-    for i in range(len(keys)):
-        v = [0] * len(keys)
-        v[i] = 1
-        vecs.append(v)
-    return vecs
-
-
 def invariant_form_generators(action, k, horizontal, bound, grading=None):
     """Minimal invariant-ring generators of the invariant k-form module.
 
     With `horizontal` set the module is cut down to the common kernel
     of the torus contractions (no-op for finite-only actions).  Sweeps
-    total degrees up to `bound`; within each piece, candidates are the
-    canonical piece basis and a candidate is recorded exactly when it
-    is not generated from lower degrees (graded Nakayama).
+    total degrees up to `bound`; within each block, candidates are the
+    canonical block basis and a candidate is recorded exactly when it
+    is not generated from lower degrees (graded Nakayama).  Generators
+    of one degree are listed in the piece order of their free columns.
     """
     if bound < k:
         raise PreconditionError(f"bound {bound} below form degree {k}")
     if grading is None:
         grading = Grading(action)
+    n = action.n
     w0 = zero_weight(action)
-    gens = []
+    rows = torus_rows(action) if horizontal else ()
+    bases = {}
+    blocks = []
     degrees = []
-    shifts = []
     for d in range(k, bound + 1):
-        keys = piece_keys(action, k, d, w0, grading)
-        if not keys:
-            continue
-        positions = {key: i for i, key in enumerate(keys)}
-        ech = Echelon(len(keys))
-        # every generator so far has degree below d
-        for row in shifted_rows(action, shifts, d, w0, positions, grading):
-            ech.insert(row)
-        vectors = _module_piece_vectors(
-            action, k, d, horizontal, keys, positions, grading
-        )
-        for v in vectors:
-            if ech.insert(v) is not None:
-                g = vector_to_form(action.n, k, v, keys)
-                gens.append(g)
-                degrees.append(d)
-                shifts.append((d, w0, list(g.terms())))
+        found = []
+        for m in block_points(grading, k, d, w0):
+            s = support(m)
+            if s not in bases:
+                bases[s] = horizontal_block(n, k, s, rows)
+            # every generator so far has degree below d
+            ech = block_span(blocks, m, comb(n, k), len(bases[s]))
+            for v in bases[s]:
+                if ech.insert(v) is not None:
+                    found.append((block_key(n, k, m, v), m, v))
+        found.sort(key=itemgetter(0))
+        blocks.extend((m, v) for _, m, v in found)
+        degrees.extend(d for _ in found)
     # monoid_basis(grading, max(bound, 1)).complete, without a monoid scan
     complete = max(bound, 1) >= grading.certificate_bound()
-    return GradedSubmodule(k, tuple(gens), tuple(degrees), bound, complete)
+    gens = tuple(block_form(n, k, m, v) for m, v in blocks)
+    return GradedSubmodule(k, gens, tuple(degrees), bound, complete)
 
 
 def invariant_ring_series(action, truncation, grading=None):
@@ -224,19 +217,14 @@ def hilbert_series_of(obj, action, truncation, grading=None):
         grading = Grading(action)
     w0 = zero_weight(action)
     k = obj.form_degree
-    shifts = [
-        (dg, w0, list(g.terms()))
-        for dg, g in zip(obj.generator_degrees, obj.generators)
-    ]
-    coeffs = []
-    for d in range(truncation + 1):
-        keys = piece_keys(action, k, d, w0, grading)
-        if not keys:
-            coeffs.append(0)
-            continue
-        positions = {key: i for i, key in enumerate(keys)}
-        ech = Echelon(len(keys))
-        for row in shifted_rows(action, shifts, d, w0, positions, grading):
-            ech.insert(row)
-        coeffs.append(ech.rank)
-    return HilbertSeries(tuple(coeffs))
+    blocks = [form_block(g) for g in obj.generators]
+    ncols = comb(action.n, k)
+    return HilbertSeries(
+        tuple(
+            sum(
+                block_span(blocks, m, ncols, comb(len(support(m)), k)).rank
+                for m in block_points(grading, k, d, w0)
+            )
+            for d in range(truncation + 1)
+        )
+    )

@@ -17,15 +17,26 @@ A Grading lives for one public call: `report.run_analysis` and
 `euler.homology_all_weights` make one and pass it down, and a function
 called on its own without one makes its own.  Nothing is kept between
 calls.
+
+Each piece splits further into blocks, one per lattice point m: the
+forms x^(m - e_I) dx_I, I ⊆ supp m, span Λ^k(Q^(supp m)).  The wedge,
+the Euler contractions and multiplication by monomials x^e (which maps
+block m to block m + e) all respect this splitting, so modules over the
+invariant ring are handled block by block.  A block vector has one
+coordinate per k-subset of range(n) (`exterior_basis`), zero off the
+subsets of supp m, so a block never has more than C(n, k) columns.
+Reduced echelon forms, kernel bases and the piece order of a block
+vector (`block_key`) are those of the piece restricted to the block.
 """
 
 from itertools import combinations
-from operator import add
+from operator import le
 
 from invforms.action import weight_of_exponents
 from invforms.cones import hilbert_certificate_bound
 from invforms.errors import StructuralError
 from invforms.forms import PolyForm
+from invforms.linalg import Echelon
 from invforms.poly import Polynomial
 
 
@@ -108,38 +119,10 @@ def form_to_vector(form, positions, ncols):
         try:
             vec[positions[(I, exps)]] = c
         except KeyError:
-            raise _outside(I, exps) from None
+            raise StructuralError(
+                f"term x^{exps} dx_{I} lies outside the requested piece"
+            ) from None
     return vec
-
-
-def _outside(I, exps):
-    return StructuralError(f"term x^{exps} dx_{I} lies outside the requested piece")
-
-
-def shifted_rows(action, gens, degree, weight, positions, grading):
-    """Yield the coordinate rows of x^e * g in one piece of a module.
-
-    `gens` lists (degree, weight, terms) per generator g, with `terms`
-    its (I, exps, coeff) list; e runs over the exponents of the
-    complementary degree and weight, ascending.  Each row is g's terms
-    shifted by e, written straight into the piece's coordinates
-    {(I, exps): column}.  Rows are yielded one at a time, as a piece
-    can have thousands of them.
-    """
-    ncols = len(positions)
-    for dg, wg, terms in gens:
-        mult = degree - dg
-        if mult < 0:
-            continue
-        for e in monomials_with_weight(action, mult, weight - wg, grading):
-            row = [0] * ncols
-            for I, exps, c in terms:
-                key = (I, tuple(map(add, exps, e)))
-                try:
-                    row[positions[key]] = c
-                except KeyError:
-                    raise _outside(*key) from None
-            yield row
 
 
 def vector_to_form(n, k, vec, keys):
@@ -149,3 +132,80 @@ def vector_to_form(n, k, vec, keys):
             comps.setdefault(I, {})[exps] = c
     return PolyForm(n, k, {I: Polynomial(n, t) for I, t in comps.items()})
 
+
+# -- lattice-point blocks -------------------------------------------------
+
+
+def exterior_basis(n, k):
+    """The coordinates of a block of the k-forms: k-subsets of range(n)."""
+    return list(combinations(range(n), k))
+
+
+def support(m):
+    return tuple(i for i, x in enumerate(m) if x)
+
+
+def block_points(grading, k, degree, weight):
+    """Lattice points of the (degree, weight) piece with a nonzero block
+    of k-forms (|supp m| >= k), ascending."""
+    if k < 0:
+        return []
+    return [
+        m for m in grading.buckets(degree).get(weight, ()) if len(support(m)) >= k
+    ]
+
+
+def block_span(gens, m, ncols, full):
+    """Echelon of the block vectors (point, vector) in `gens` whose point
+    is <= m componentwise: the block at m of the module they generate.
+
+    Multiplying by x^(m - point) moves a block vector to block m without
+    changing its coordinates.  Insertion stops once the rank is `full`.
+    """
+    ech = Echelon(ncols)
+    rank = 0
+    for point, vec in gens:
+        if rank == full:
+            break
+        if all(map(le, point, m)) and ech.insert(vec) is not None:
+            rank += 1
+    return ech
+
+
+def block_key(n, k, m, vec):
+    """Piece-basis key (I, m - e_I) of the last nonzero coordinate of a
+    block vector: a kernel basis vector's free column, by which the
+    piece orders its kernel basis."""
+    last = max(j for j, c in enumerate(vec) if c)
+    I = exterior_basis(n, k)[last]
+    return I, _minus(m, I)
+
+
+def block_form(n, k, m, vec):
+    """The form with block vector `vec` at lattice point m."""
+    comps = {}
+    for I, c in zip(exterior_basis(n, k), vec):
+        if c:
+            comps[I] = Polynomial(n, {_minus(m, I): c})
+    return PolyForm(n, k, comps)
+
+
+def form_block(form):
+    """(lattice point, block vector) of a form lying in one block."""
+    basis = exterior_basis(form.n, form.degree)
+    vec = [0] * len(basis)
+    points = set()
+    for I, exps, c in form.terms():
+        points.add(tuple(x + (i in I) for i, x in enumerate(exps)))
+        vec[basis.index(I)] = c
+    if len(points) != 1:
+        raise StructuralError(f"form is not at one lattice point: {sorted(points)}")
+    return points.pop(), vec
+
+
+def _minus(m, I):
+    """The exponents m - e_I."""
+    exps = list(m)
+    for i in I:
+        exps[i] -= 1
+    return tuple(exps)

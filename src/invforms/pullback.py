@@ -8,34 +8,48 @@ horizontal k-forms is decided degreewise against a certified bound on
 the degrees of the target's minimal generators.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from math import comb
+from operator import add, mul
 
 from invforms.action import zero_weight
-from invforms.errors import InternalCheckError
-from invforms.euler import horizontal_vectors
+from invforms.errors import InternalCheckError, PreconditionError
+from invforms.euler import horizontal_block, torus_rows
 from invforms.invariants import monoid_basis
 from invforms.linalg import Echelon, echelon_of
 from invforms.pieces import (
     Grading,
-    form_to_vector,
-    piece_keys,
-    shifted_rows,
-    vector_to_form,
+    block_form,
+    block_key,
+    block_points,
+    block_span,
+    support,
 )
-from invforms.poly import Polynomial
-from invforms.forms import PolyForm
 
 
 @dataclass(frozen=True)
 class PullbackImage:
-    """Wedge generators of the pullback image of the quotient k-forms."""
+    """Wedge generators of the pullback image of the quotient k-forms.
+
+    Each generator is kept as its lattice point and Plücker vector
+    (`generator_blocks`, see `pieces`); `wedge_generators` are the same
+    wedges as forms, built on first use.
+    """
 
     k: int
-    wedge_generators: tuple
+    generator_blocks: tuple
     generator_degrees: tuple
     certified_bound: int
     certified: bool
+
+    @cached_property
+    def wedge_generators(self):
+        return tuple(
+            block_form(len(m), self.k, m, vec) for m, vec in self.generator_blocks
+        )
 
 
 @dataclass(frozen=True)
@@ -58,57 +72,65 @@ class SurjectivityResult:
 
 
 def _wedge_candidates(action, basis, k):
-    diffs = [
-        PolyForm.from_poly(Polynomial.monomial(action.n, g)).d()
-        for g in basis.generators
-    ]
-    if k == 0:
-        return [PolyForm.from_poly(Polynomial.constant(action.n, 1))]
-    wedges = []
-    for combo in combinations(diffs, k):
-        w = combo[0]
-        for f in combo[1:]:
-            w = w.wedge(f)
-            if w.is_zero:
-                break
-        if not w.is_zero:
-            wedges.append(w)
-    return wedges
+    """Each k-subset of the Hilbert basis with a nonzero wedge of
+    differentials, as (lattice point, Plücker vector), in subset order.
+
+    d(x^g_1) ∧ ... ∧ d(x^g_k) = sum_I det(g_j[i])_(i in I) x^(m - e_I) dx_I
+    with m = g_1 + ... + g_k, so the wedge lies in block m (see `pieces`)
+    and its block vector is the k x k minors, rows in I order and
+    columns in subset order.  Minors are built one generator at a time:
+    (v ∧ g)_K = sum_r (-1)^(j-r) g[K_r] v_(K minus K_r) for |K| = j + 1.
+    """
+    n = action.n
+    gens = basis.generators
+    steps = []
+    for j in range(k):
+        place = {J: p for p, J in enumerate(combinations(range(n), j))}
+        steps.append([
+            [((-1) ** (j - r), i, place[K[:r] + K[r + 1 :]]) for r, i in enumerate(K)]
+            for K in combinations(range(n), j + 1)
+        ])
+    out = []
+
+    def extend(first, m, vec, j):
+        if j == k:
+            out.append((m, vec))
+            return
+        for t in range(first, len(gens) - k + j + 1):
+            g = gens[t]
+            nxt = [sum(s * g[i] * vec[p] for s, i, p in terms) for terms in steps[j]]
+            if any(nxt):
+                extend(t + 1, tuple(map(add, m, g)), nxt, j + 1)
+
+    extend(0, (0,) * n, [1], 0)
+    return out
 
 
 def pullback_image(action, k, bound, basis=None, grading=None):
     """All k-fold wedges of differentials of the invariant generators.
 
-    Within each total degree, wedges that are constant-linear
-    combinations of earlier ones are dropped; that never shrinks the
-    spanned module.
+    A wedge that is a constant-linear combination of earlier wedges at
+    its lattice point is dropped; that never shrinks the spanned module.
+    Generators are listed by total degree, then in subset order.
     """
+    if k < 0:
+        raise PreconditionError(f"form degree must be non-negative, got {k}")
     if grading is None:
         grading = Grading(action)
     if basis is None:
         basis = monoid_basis(grading, bound)
     if k > action.n:
         return PullbackImage(k, (), (), bound, basis.complete)
-    w0 = zero_weight(action)
-    by_degree = {}
-    for w in _wedge_candidates(action, basis, k):
-        degs = w.total_degrees()
-        d = degs.pop() if degs else k
-        by_degree.setdefault(d, []).append(w)
+    blocks = {}
     kept = []
-    for d in sorted(by_degree):
-        keys = piece_keys(action, k, d, w0, grading)
-        positions = {key: i for i, key in enumerate(keys)}
-        ech = Echelon(len(keys))
-        for w in by_degree[d]:
-            if ech.insert(form_to_vector(w, positions, len(keys))) is not None:
-                kept.append((d, w))
+    for m, vec in _wedge_candidates(action, basis, k):
+        if m not in blocks:
+            blocks[m] = Echelon(len(vec))
+        if blocks[m].insert(vec) is not None:
+            kept.append((m, vec))
+    kept.sort(key=lambda b: sum(b[0]))
     return PullbackImage(
-        k,
-        tuple(w for _, w in kept),
-        tuple(d for d, _ in kept),
-        bound,
-        basis.complete,
+        k, tuple(kept), tuple(sum(m) for m, _ in kept), bound, basis.complete
     )
 
 
@@ -135,7 +157,9 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
     target-generator bound has zero cokernel, `not_surjective` (with
     witness degrees and a canonical witness class) as soon as a piece
     has one, and `inconclusive` when certification is out of reach at
-    this bound.
+    this bound.  Each piece is computed block by block: the image at m
+    is spanned by the wedge generators at lattice points <= m, and the
+    target is the horizontal block at supp m.
     """
     if grading is None:
         grading = Grading(action)
@@ -143,38 +167,40 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
         basis = monoid_basis(grading, bound)
     image = pullback_image(action, k, bound, basis=basis, grading=grading)
     w0 = zero_weight(action)
-    shifts = [
-        (dg, w0, list(w.terms()))
-        for dg, w in zip(image.generator_degrees, image.wedge_generators)
-    ]
+    ncols = comb(action.n, k)
+    gens = image.generator_blocks
+    torus = torus_rows(action)
     rows = []
     witness = None
     witness_degrees = []
+    targets = {}
     for d in range(bound + 1):
-        keys = piece_keys(action, k, d, w0, grading)
-        if not keys:
-            rows.append((d, 0, 0, 0))
-            continue
-        positions = {key: i for i, key in enumerate(keys)}
-        target_vecs = horizontal_vectors(action, k, d, keys, positions, grading)
-        ech = Echelon(len(keys))
-        for row in shifted_rows(action, shifts, d, w0, positions, grading):
-            ech.insert(row)
-        tdim = len(target_vecs)
-        idim = ech.rank
+        tdim = idim = 0
+        short = []  # blocks where the image misses part of the target
+        # generators are sorted by degree; later ones reach no block here
+        usable = gens[: bisect_right(image.generator_degrees, d)]
+        for m in block_points(grading, k, d, w0):
+            s = support(m)
+            if s not in targets:
+                targets[s] = horizontal_block(action.n, k, s, torus)
+            target = targets[s]
+            ech = block_span(usable, m, ncols, comb(len(s), k))
+            if ech.rank > len(target):
+                raise InternalCheckError(
+                    f"image dimension {ech.rank} exceeds target dimension "
+                    f"{len(target)} in degree {d} at lattice point {m}; the "
+                    "image is not horizontal-invariant"
+                )
+            tdim += len(target)
+            idim += ech.rank
+            if ech.rank < len(target):
+                short.append((m, target, ech.rows))
         coker = tdim - idim
-        if coker < 0:
-            raise InternalCheckError(
-                f"image dimension {idim} exceeds target dimension {tdim} "
-                f"in degree {d}; the image is not horizontal-invariant"
-            )
         rows.append((d, tdim, idim, coker))
         if coker > 0:
             witness_degrees.append(d)
             if witness is None:
-                witness = _cokernel_witness(
-                    action, k, keys, target_vecs, ech.rows
-                )
+                witness = _cokernel_witness(action.n, k, short)
     table = CokernelTable(k, tuple(rows))
     cert = target_generator_bound(action, k, basis)
     notes = []
@@ -204,17 +230,21 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
     )
 
 
-def _cokernel_witness(action, k, keys, target_vecs, image_rows):
-    """Canonical nonzero target element orthogonal to the image piece."""
-    cond = [
-        [sum(a * b for a, b in zip(t, n)) for t in target_vecs]
-        for n in image_rows
-    ]
-    kern = echelon_of(cond, len(target_vecs)).kernel_basis()
-    c = kern[0]
-    vec = [
-        sum(c[b] * target_vecs[b][j] for b in range(len(target_vecs)))
-        for j in range(len(keys))
-    ]
-    return vector_to_form(action.n, k, vec, keys)
+def _cokernel_witness(n, k, blocks):
+    """Canonical nonzero target element orthogonal to the image piece.
 
+    This is the first kernel vector of the pairing between the piece's
+    image rows and its target basis, whose columns ascend by their free
+    column.  Both are block diagonal, so that vector lies in the block
+    (m, target basis, image rows) whose own first kernel vector has the
+    least free target column in piece order.
+    """
+    best = None
+    for m, target, image_rows in blocks:
+        cond = [[sum(map(mul, t, r)) for t in target] for r in image_rows]
+        c = echelon_of(cond, len(target)).kernel_basis()[0]
+        free = max(b for b, x in enumerate(c) if x)
+        key = block_key(n, k, m, target[free])
+        if best is None or key < best[0]:
+            best = key, m, [sum(map(mul, c, col)) for col in zip(*target)]
+    return block_form(n, k, best[1], best[2])

@@ -3,11 +3,15 @@
 Nothing here may call into the engine's linear algebra or enumeration
 helpers: ranks are naive Gaussian elimination over Fractions, monomial
 enumeration goes through itertools.product, weights are recomputed
-from the raw matrix.
+from the raw matrix.  The one exception is `piecewide_cokernel_table`,
+the engine's former piece-wide route, kept to check the block route
+against: it reads piece bases from `piece_keys` and reduces with
+`Echelon`, both checked against brute force in their own tests.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -220,3 +224,88 @@ def polynomial_matrix_rank(rows):
         if rank == m:
             break
     return rank
+
+
+def wedge_candidates(action, basis, k):
+    """(sum of the subset, wedge) for each k-subset of the basis whose
+    wedge of differentials d(x^g) is nonzero, by PolyForm arithmetic."""
+    from invforms.forms import PolyForm
+    from invforms.poly import Polynomial
+
+    n = action.n
+    diffs = [
+        PolyForm.from_poly(Polynomial.monomial(n, g)).d() for g in basis.generators
+    ]
+    if k == 0:
+        return [((0,) * n, PolyForm.from_poly(Polynomial.constant(n, 1)))]
+    out = []
+    for combo in combinations(range(len(diffs)), k):
+        w = diffs[combo[0]]
+        for t in combo[1:]:
+            w = w.wedge(diffs[t])
+            if w.is_zero:
+                break
+        if not w.is_zero:
+            m = tuple(sum(basis.generators[t][i] for t in combo) for i in range(n))
+            out.append((m, w))
+    return out
+
+
+def piecewide_cokernel_table(action, k, bound, basis):
+    """(cokernel table rows, witness) of the pullback in form degree k,
+    with every (degree, weight-zero) piece reduced as one system.
+
+    The image piece is spanned by x^e w for every nonzero candidate
+    wedge w; the target is the common kernel of the torus contractions
+    on the piece; the witness is the first kernel vector of the pairing
+    between image rows and the target's canonical kernel basis.
+    """
+    from invforms.action import zero_weight
+    from invforms.euler import EulerOperator, euler_contract
+    from invforms.forms import PolyForm
+    from invforms.linalg import echelon_of
+    from invforms.pieces import form_to_vector, piece_keys, vector_to_form
+
+    n = action.n
+    w0 = zero_weight(action)
+    wedges = [
+        (sum(m), list(w.terms())) for m, w in wedge_candidates(action, basis, k)
+    ]
+    ops = [EulerOperator(action, j) for j in range(action.torus_rank)]
+    raw = action.weight_matrix, action.torus_rank, action.finite_orders, n
+    shifts = [brute_weight0_monomials(*raw, e) for e in range(bound + 1)]
+    rows = []
+    witness = None
+    for d in range(bound + 1):
+        keys = piece_keys(action, k, d, w0)
+        if not keys:
+            rows.append((d, 0, 0, 0))
+            continue
+        positions = {key: i for i, key in enumerate(keys)}
+        tgt_keys = piece_keys(action, k - 1, d, w0) if k else []
+        tgt_positions = {key: i for i, key in enumerate(tgt_keys)}
+        equations = [[0] * len(keys) for _ in range(len(ops) * len(tgt_keys))]
+        for b, (I, exps) in enumerate(keys):
+            f = PolyForm.monomial_form(n, exps, I)
+            for j, op in enumerate(ops):
+                img = euler_contract(op, f)
+                coords = form_to_vector(img, tgt_positions, len(tgt_keys))
+                for i, c in enumerate(coords):
+                    equations[j * len(tgt_keys) + i][b] = c
+        target = echelon_of(equations, len(keys)).kernel_basis()
+        image = []
+        for dw, terms in wedges:
+            for e in shifts[d - dw] if dw <= d else ():
+                row = [0] * len(keys)
+                for I, exps, c in terms:
+                    row[positions[(I, tuple(a + b for a, b in zip(exps, e)))]] = c
+                image.append(row)
+        image_rows = echelon_of(image, len(keys)).rows
+        coker = len(target) - len(image_rows)
+        rows.append((d, len(target), len(image_rows), coker))
+        if coker > 0 and witness is None:
+            cond = [[sum(map(mul, t, r)) for t in target] for r in image_rows]
+            c = echelon_of(cond, len(target)).kernel_basis()[0]
+            vec = [sum(x * t[j] for x, t in zip(c, target)) for j in range(len(keys))]
+            witness = vector_to_form(n, k, vec, keys)
+    return tuple(rows), witness

@@ -62,6 +62,37 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert raised
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_negative_form_degree_is_an_input_error(tmp_path, capsys):
+    spec = tmp_path / "a1.json"
+    write(spec, A1)
+    assert run(["analyze", str(spec), "--form-degree", "-1"]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_zero_max_degree_is_an_input_error(tmp_path, capsys):
+    spec = tmp_path / "a1.json"
+    write(spec, A1)
+    assert run(["analyze", str(spec), "--max-degree", "0"]) == 1
+    assert _one_error_line(capsys)
+    assert run(["canonical", str(spec), "--max-degree", "0"]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_euler_torus_index_is_one_based(tmp_path, capsys):
+    spec = tmp_path / "t.json"
+    write(spec, {"n": 2, "torus_rank": 1, "finite_orders": [], "weight_matrix": [[1, 1]]})
+    assert run(["euler", str(spec), "--degree", "2", "--torus-index", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --torus-index 0 outside 1..1\n"
+    assert run(["euler", str(spec), "--degree", "2", "--torus-index", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_analyze_inconclusive_exit(tmp_path, capsys):
     spec = tmp_path / "far.json"
     write(

@@ -244,8 +244,26 @@ def test_target_pieces_reuse_their_keys(monkeypatch, corpus_dir):
     act = load_action(corpus_dir / "z4_123.json")
     calls = _count_calls(monkeypatch, invforms.pieces.piece_keys)
     surjectivity_check(act, 1, 12)
-    # 13 degrees of the table and 3 degrees of wedge generators
-    assert len(calls) == 16
+    # image, target and table are read block by block off the grading
+    assert calls == []
+
+
+def test_echelons_stay_within_one_block(monkeypatch):
+    from invforms.linalg import Echelon
+    from invforms.report import run_analysis
+
+    widths = []
+    insert = Echelon.insert
+
+    def recorded(self, row):
+        widths.append(self.ncols)
+        return insert(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", recorded)
+    act = make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]])
+    run_analysis(act, max_degree=7)
+    assert widths
+    assert max(widths) <= 10  # C(5, 2), the widest block at n = 5
 
 
 def test_truncated_basis_equals_shorter_scan():

@@ -1,24 +1,21 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from invforms.action import (
-    Weight,
-    make_action,
-    weight_of_exponents,
-    weight_of_form,
-    zero_weight,
-)
+from invforms.action import Weight, make_action, zero_weight
 from invforms.errors import StructuralError
 from invforms.euler import occurring_weights
 from invforms.pieces import (
     Grading,
-    form_to_vector,
+    block_form,
+    block_span,
+    form_block,
     monomials_of_degree,
     monomials_with_weight,
     piece_keys,
-    shifted_rows,
 )
 from invforms.forms import PolyForm
 from invforms.poly import Polynomial
@@ -27,11 +24,10 @@ from oracles import (
     brute_monomials_by_weight,
     brute_pieces,
     brute_weight0_monomials,
+    frac_rank,
 )
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
-TRIV = make_action(2)
-DX = PolyForm.dx(2, 0)
 
 
 def test_monomials_of_degree():
@@ -75,14 +71,6 @@ def test_piece_keys_order_and_content():
 # -- lattice-point enumeration against brute force ----------------------------
 
 
-@st.composite
-def monomial_forms(draw, n, k):
-    I = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
-    exps = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    c = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 2)))
-    return PolyForm.monomial_form(n, exps, I, c)
-
-
 def _raw(act):
     return act.weight_matrix, act.torus_rank, act.finite_orders
 
@@ -112,39 +100,46 @@ def test_pieces_match_brute_force(act):
             assert piece_keys(act, 0, d, absent, grading) == []
 
 
+# -- lattice-point blocks against polynomial products ------------------------
+
+
+@st.composite
+def block_forms(draw, n, k):
+    """A form at one lattice point m: sum of c_I x^(m - e_I) dx_I."""
+    m = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    supp = [i for i, x in enumerate(m) if x]
+    form = PolyForm.zero(n, k)
+    for I in combinations(supp, k):
+        c = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+        exps = tuple(x - (i in I) for i, x in enumerate(m))
+        form = form + PolyForm.monomial_form(n, exps, I, c)
+    return form
+
+
 @given(st.data())
-def test_shifted_rows_match_polynomial_products(data):
-    act = data.draw(actions())
-    n = act.n
+def test_block_span_matches_polynomial_products(data):
+    n = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(0, n))
-    gens = data.draw(st.lists(monomial_forms(n, k), min_size=1, max_size=3))
-    # the first generator times this monomial lies in the chosen piece
-    e0 = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    shifts = [
-        (g.total_degrees().pop(), weight_of_form(act, g), list(g.terms()))
-        for g in gens
+    gens = [
+        g for g in data.draw(st.lists(block_forms(n, k), min_size=1, max_size=4))
+        if not g.is_zero
     ]
-    degree = shifts[0][0] + sum(e0)
-    weight = shifts[0][1] + weight_of_exponents(act, e0)
-    grading = Grading(act)
-    keys = piece_keys(act, k, degree, weight, grading)
-    positions = {key: i for i, key in enumerate(keys)}
-
-    got = list(shifted_rows(act, shifts, degree, weight, positions, grading))
-    want = []
-    for g, (dg, wg, _) in zip(gens, shifts):
-        rest = weight - wg
-        monos = brute_monomials_by_weight(*_raw(act), n, degree - dg)
-        for e in monos.get((rest.torus, rest.finite), []):
-            scaled = g * Polynomial.monomial(n, e)
-            want.append(form_to_vector(scaled, positions, len(keys)))
-    assert got == want
-    assert got
+    m = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    blocks = [form_block(g) for g in gens]
+    for g, (point, vec) in zip(gens, blocks):
+        assert block_form(n, k, point, vec) == g
+    got = block_span(blocks, m, comb(n, k), comb(n, k)).rank
+    # the products x^e g that land at m, in their own terms
+    products = []
+    for g, (point, _) in zip(gens, blocks):
+        e = [a - b for a, b in zip(m, point)]
+        if min(e) >= 0:
+            prod = g * Polynomial.monomial(n, e)
+            products.append({(I, exps): c for I, exps, c in prod.terms()})
+    keys = sorted(set().union(*products))
+    assert got == frac_rank([[p.get(key, 0) for key in keys] for p in products])
 
 
-def test_shifted_rows_reject_terms_outside_the_piece():
-    grading = Grading(TRIV)
-    positions = {((0,), (1, 0)): 0}  # x dx only; y dx is missing
-    shifts = [(1, zero_weight(TRIV), list(DX.terms()))]
+def test_form_block_rejects_forms_at_two_lattice_points():
     with pytest.raises(StructuralError):
-        list(shifted_rows(TRIV, shifts, 2, zero_weight(TRIV), positions, grading))
+        form_block(PolyForm.dx(2, 0) + PolyForm.dx(2, 1))

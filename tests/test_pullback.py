@@ -1,7 +1,7 @@
 from itertools import combinations
 from math import comb
 
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 
 from invforms.action import make_action, weight_of_form
 from invforms.euler import is_horizontal
@@ -9,12 +9,20 @@ from invforms.forms import PolyForm, wedge
 from invforms.invariants import hilbert_basis, quotient_dimension
 from invforms.pieces import Grading
 from invforms.pullback import (
+    _wedge_candidates,
     pullback_image,
     surjectivity_check,
     target_generator_bound,
 )
 from invforms.poly import Polynomial
-from oracles import actions, polynomial_matrix_rank
+from oracles import (
+    actions,
+    brute_weight0_monomials,
+    frac_rank,
+    piecewide_cokernel_table,
+    polynomial_matrix_rank,
+    wedge_candidates,
+)
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 Z2R = make_action(2, finite_orders=[2], weight_matrix=[[1, 0]])
@@ -131,6 +139,47 @@ def test_image_never_exceeds_target(act):
         for _, tdim, idim, coker in rows:
             assert 0 <= idim <= tdim
             assert coker == tdim - idim
+
+
+@given(actions(4, 2))
+def test_plucker_vectors_are_the_wedges(act):
+    basis = hilbert_basis(act, 4)
+    for k in range(act.n + 1):
+        got = _wedge_candidates(act, basis, k)
+        want = wedge_candidates(act, basis, k)
+        assert [m for m, _ in got] == [m for m, _ in want]
+        for (m, vec), (_, w) in zip(got, want):
+            terms = [
+                (I, tuple(x - (i in I) for i, x in enumerate(m)), c)
+                for I, c in zip(combinations(range(act.n), k), vec)
+                if c
+            ]
+            assert terms == list(w.terms())
+
+
+# witnesses that lie in a later block than the first one with a cokernel
+@given(actions(4, 2), st.integers(1, 6))
+@example(make_action(3, finite_orders=[4], weight_matrix=[[1, 1, 3]]), 6)
+@example(make_action(4, torus_rank=1, weight_matrix=[[3, -2, -1, -1]]), 6)
+def test_blocks_match_the_piecewide_route(act, bound):
+    grading = Grading(act)
+    basis = hilbert_basis(act, bound, grading)
+    torus = [act.torus_row(j) for j in range(act.torus_rank)]
+    raw = act.weight_matrix, act.torus_rank, act.finite_orders, act.n
+    points = [brute_weight0_monomials(*raw, d) for d in range(bound + 1)]
+    for k in range(act.n + 1):
+        res = surjectivity_check(act, k, bound, basis=basis, grading=grading)
+        rows, witness = piecewide_cokernel_table(act, k, bound, basis)
+        assert res.table.rows == rows
+        assert str(res.witness) == str(witness)
+        # each block's target is Λ^k of the annihilator of T restricted to S
+        for d, tdim, _, _ in rows:
+            closed = 0
+            for m in points[d]:
+                S = [i for i, x in enumerate(m) if x]
+                rank = frac_rank([[row[i] for i in S] for row in torus])
+                closed += comb(len(S) - rank, k)
+            assert tdim == closed
 
 
 def test_target_generator_bound_finite():
