@@ -230,7 +230,15 @@ def cmd_euler(args):
                 require_positive_grading=args.point_quotient,
             )
         else:
-            parts = [int(x) for x in args.weight.split(",")]
+            try:
+                parts = [int(x) for x in args.weight.split(",")]
+            except ValueError:
+                print(
+                    f"error: --weight must be comma-separated integers, "
+                    f"got {args.weight!r}",
+                    file=sys.stderr,
+                )
+                return 1
             s, t = action.torus_rank, action.t
             if len(parts) != s + t:
                 print(

@@ -8,6 +8,7 @@ elements not reachable from lower degrees.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from operator import itemgetter
 
@@ -21,7 +22,6 @@ from invforms.pieces import (
     block_key,
     block_points,
     block_span,
-    form_block,
     monomials_with_weight,
     support,
 )
@@ -69,7 +69,7 @@ def hilbert_basis(action, bound, grading=None):
     """Minimal generators of the weight-zero monoid up to total degree `bound`.
 
     This is the monoid scan.  Within one call, take bases from
-    `monoid_basis`, which scans once and cuts every basis from that.
+    `monoid_basis`, which cuts smaller bases from the grading's scan.
     """
     _check_bound(bound)
     if grading is None:
@@ -85,19 +85,26 @@ def hilbert_basis(action, bound, grading=None):
 
 
 def monoid_basis(grading, bound):
-    """The Hilbert basis found up to `bound`, cut from the grading's one scan.
+    """The Hilbert basis found up to `bound`, cut from the grading's scan.
 
-    The scan reaches max(bound, certificate bound), so an analysis that
-    asks first for its own bound scans once.  Each monomial is tested
-    only against generators of lower degree, so the generators found up
-    to `bound` do not depend on how far the scan goes.
+    A scan reaches the bound asked for; a later, smaller bound is cut
+    from it.  Each monomial is tested only against generators of lower
+    degree, so the generators found up to `bound` do not depend on how
+    far the scan goes.
     """
     _check_bound(bound)
     scan = grading.monoid
     if scan is None or scan.search_bound < bound:
-        top = max(bound, grading.certificate_bound())
-        scan = grading.monoid = hilbert_basis(grading.action, top, grading)
+        scan = grading.monoid = hilbert_basis(grading.action, bound, grading)
     return scan.truncated(bound)
+
+
+def analysis_basis(grading, bound):
+    """The basis at `bound` for a call that also reads the certified
+    basis: one scan, to max(bound, certificate bound), serves both."""
+    _check_bound(bound)
+    top = max(bound, grading.certificate_bound())
+    return monoid_basis(grading, top).truncated(bound)
 
 
 def certified_basis(grading):
@@ -132,13 +139,22 @@ class GradedSubmodule:
     The list is certified minimal-and-spanning for all pieces of total
     degree <= generator_bound; `basis_complete` records whether the
     invariant-ring generators themselves were certified at that bound.
+    Generators are kept as (lattice point, block vector) pairs in
+    `generator_blocks`; `generators` builds them as forms on first use.
     """
 
     form_degree: int
-    generators: tuple
+    generator_blocks: tuple
     generator_degrees: tuple
     generator_bound: int
     basis_complete: bool
+
+    @cached_property
+    def generators(self):
+        return tuple(
+            block_form(len(m), self.form_degree, m, vec)
+            for m, vec in self.generator_blocks
+        )
 
 
 def invariant_form_generators(action, k, horizontal, bound, grading=None):
@@ -177,8 +193,7 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
         degrees.extend(d for _ in found)
     # monoid_basis(grading, max(bound, 1)).complete, without a monoid scan
     complete = max(bound, 1) >= grading.certificate_bound()
-    gens = tuple(block_form(n, k, m, v) for m, v in blocks)
-    return GradedSubmodule(k, gens, tuple(degrees), bound, complete)
+    return GradedSubmodule(k, tuple(blocks), tuple(degrees), bound, complete)
 
 
 def invariant_ring_series(action, truncation, grading=None):
@@ -217,7 +232,7 @@ def hilbert_series_of(obj, action, truncation, grading=None):
         grading = Grading(action)
     w0 = zero_weight(action)
     k = obj.form_degree
-    blocks = [form_block(g) for g in obj.generators]
+    blocks = obj.generator_blocks
     ncols = comb(action.n, k)
     return HilbertSeries(
         tuple(

@@ -94,6 +94,8 @@ def monomials_with_weight(action, d, weight, grading=None):
     return list(grading.buckets(d).get(weight, ()))
 
 
+# No engine path reads whole pieces: `piece_keys` and `form_to_vector`
+# are kept for perfbench/, which traces them, and the tests' oracles.
 def piece_keys(action, k, degree, weight, grading=None):
     """Canonical (I, exps) basis of the (degree, weight) piece of the k-forms."""
     if k < 0 or k > action.n or degree < k:
@@ -123,14 +125,6 @@ def form_to_vector(form, positions, ncols):
                 f"term x^{exps} dx_{I} lies outside the requested piece"
             ) from None
     return vec
-
-
-def vector_to_form(n, k, vec, keys):
-    comps = {}
-    for (I, exps), c in zip(keys, vec):
-        if c:
-            comps.setdefault(I, {})[exps] = c
-    return PolyForm(n, k, {I: Polynomial(n, t) for I, t in comps.items()})
 
 
 # -- lattice-point blocks -------------------------------------------------
@@ -188,19 +182,6 @@ def block_form(n, k, m, vec):
         if c:
             comps[I] = Polynomial(n, {_minus(m, I): c})
     return PolyForm(n, k, comps)
-
-
-def form_block(form):
-    """(lattice point, block vector) of a form lying in one block."""
-    basis = exterior_basis(form.n, form.degree)
-    vec = [0] * len(basis)
-    points = set()
-    for I, exps, c in form.terms():
-        points.add(tuple(x + (i in I) for i, x in enumerate(exps)))
-        vec[basis.index(I)] = c
-    if len(points) != 1:
-        raise StructuralError(f"form is not at one lattice point: {sorted(points)}")
-    return points.pop(), vec
 
 
 def _minus(m, I):

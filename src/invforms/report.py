@@ -13,8 +13,8 @@ from invforms.action import action_to_dict
 from invforms.canonical import canonical_comparison
 from invforms.errors import EngineError
 from invforms.invariants import (
+    analysis_basis,
     invariant_ring_series,
-    monoid_basis,
     quotient_dimension,
 )
 from invforms.pieces import Grading
@@ -43,7 +43,7 @@ def run_analysis(action, max_degree=None, form_degrees=None, with_canonical=True
     grading = Grading(action)
 
     t0 = time.perf_counter()
-    basis = monoid_basis(grading, bound)
+    basis = analysis_basis(grading, bound)
     dim_y = quotient_dimension(action, grading)
     series = invariant_ring_series(action, bound, grading)
     timings["hilbert"] = _ms(t0)

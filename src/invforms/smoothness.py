@@ -17,7 +17,7 @@ from invforms.action import (
 )
 from invforms.cones import congruence_lattice_basis, same_lattice, span_dim
 from invforms.errors import InternalCheckError, UnsupportedRouteError
-from invforms.invariants import monoid_basis, quotient_dimension
+from invforms.invariants import analysis_basis, monoid_basis, quotient_dimension
 from invforms.pieces import Grading
 from invforms.pullback import surjectivity_check
 
@@ -164,6 +164,7 @@ def smoothness_verdict(action, bound, surjectivity_results=None, grading=None):
     """
     if grading is None:
         grading = Grading(action)
+    basis = analysis_basis(grading, bound)
     dim_y = quotient_dimension(action, grading)
     monoid = monoid_smooth(action, bound, grading)
     if action.torus_rank == 0:
@@ -171,7 +172,6 @@ def smoothness_verdict(action, bound, surjectivity_results=None, grading=None):
     else:
         st = "not_applicable"
     if surjectivity_results is None:
-        basis = monoid_basis(grading, bound)
         surjectivity_results = [
             surjectivity_check(action, k, bound, basis=basis, grading=grading)
             for k in range(1, dim_y + 1)

@@ -3,10 +3,11 @@
 Nothing here may call into the engine's linear algebra or enumeration
 helpers: ranks are naive Gaussian elimination over Fractions, monomial
 enumeration goes through itertools.product, weights are recomputed
-from the raw matrix.  The one exception is `piecewide_cokernel_table`,
-the engine's former piece-wide route, kept to check the block route
-against: it reads piece bases from `piece_keys` and reduces with
-`Echelon`, both checked against brute force in their own tests.
+from the raw matrix.  The exceptions are `piecewide_cokernel_table`
+and `piecewide_homology`, the engine's former piece-wide routes, kept
+to check the block routes against: they read piece bases from
+`piece_keys` and reduce with `Echelon`, both checked against brute
+force in their own tests.
 """
 
 from fractions import Fraction
@@ -264,7 +265,7 @@ def piecewide_cokernel_table(action, k, bound, basis):
     from invforms.euler import EulerOperator, euler_contract
     from invforms.forms import PolyForm
     from invforms.linalg import echelon_of
-    from invforms.pieces import form_to_vector, piece_keys, vector_to_form
+    from invforms.pieces import form_to_vector, piece_keys
 
     n = action.n
     w0 = zero_weight(action)
@@ -309,3 +310,99 @@ def piecewide_cokernel_table(action, k, bound, basis):
             vec = [sum(x * t[j] for x, t in zip(c, target)) for j in range(len(keys))]
             witness = vector_to_form(n, k, vec, keys)
     return tuple(rows), witness
+
+
+def vector_to_form(n, k, vec, keys):
+    """The form with coordinates `vec` in the piece basis `keys`."""
+    from invforms.forms import PolyForm
+    from invforms.poly import Polynomial
+
+    comps = {}
+    for (I, exps), c in zip(keys, vec):
+        if c:
+            comps.setdefault(I, {})[exps] = c
+    return PolyForm(n, k, {I: Polynomial(n, t) for I, t in comps.items()})
+
+
+def _euler_rows(action, keys, tgt_positions, torus_indices):
+    """Rows of the stacked contraction maps on one piece (one row per
+    source basis element, concatenated target blocks)."""
+    from invforms.euler import EulerOperator, euler_contract
+    from invforms.forms import PolyForm
+    from invforms.pieces import form_to_vector
+
+    ncols = len(tgt_positions)
+    rows = []
+    for I, exps in keys:
+        blocks = []
+        for j in torus_indices:
+            op = EulerOperator(action, j)
+            img = euler_contract(op, PolyForm.monomial_form(action.n, exps, I))
+            blocks.extend(form_to_vector(img, tgt_positions, ncols))
+        rows.append(blocks)
+    return rows
+
+
+def _unit(ncols, i):
+    v = [0] * ncols
+    v[i] = 1
+    return v
+
+
+def piecewide_homology(action, weight, degree, restrict, torus_index):
+    """(dims, homology) of the contraction complex on one (degree,
+    weight) piece, with each form degree reduced as one system.
+
+    With `restrict`, the complex is the common kernel of the other
+    torus contractions, and zero unless the weight's other torus and
+    finite components vanish; the homology is read off the ranks of
+    the distinguished contraction on it.
+    """
+    from invforms.euler import EulerOperator, euler_contract
+    from invforms.linalg import Echelon, echelon_of
+    from invforms.pieces import form_to_vector, piece_keys
+
+    n = action.n
+    op = EulerOperator(action, torus_index)
+    others = [j for j in range(action.torus_rank) if j != torus_index]
+    invariant_ok = not restrict or not (
+        any(w for j, w in enumerate(weight.torus) if j != torus_index)
+        or any(weight.finite)
+    )
+    piece = {}
+    for k in range(n + 1):
+        if not invariant_ok:
+            piece[k] = ([], [])
+            continue
+        keys = piece_keys(action, k, degree, weight)
+        tgt_keys = piece[k - 1][0] if k else []
+        if restrict and others and keys and tgt_keys:
+            tgt_positions = {key: i for i, key in enumerate(tgt_keys)}
+            rows = _euler_rows(action, keys, tgt_positions, others)
+            equations = [
+                [rows[b][i] for b in range(len(keys))] for i in range(len(rows[0]))
+            ]
+            vectors = echelon_of(equations, len(keys)).kernel_basis()
+        else:
+            vectors = [_unit(len(keys), i) for i in range(len(keys))]
+        piece[k] = (keys, vectors)
+
+    ranks = [0] * (n + 2)  # ranks[k] = rank of e on the degree-k subspace
+    for k in range(1, n + 1):
+        keys, vectors = piece[k]
+        if not vectors:
+            continue
+        tgt_keys = piece[k - 1][0]
+        tgt_positions = {key: i for i, key in enumerate(tgt_keys)}
+        ech = Echelon(max(len(tgt_keys), 1))
+        for v in vectors:
+            img = euler_contract(op, vector_to_form(n, k, v, keys))
+            ech.insert(form_to_vector(img, tgt_positions, max(len(tgt_keys), 1)))
+        ranks[k] = ech.rank
+
+    dims = tuple(len(piece[k][1]) for k in range(n + 1))
+    homology = tuple(
+        dims[k] - ranks[k] - ranks[k + 1] if k < n else dims[k] - ranks[k]
+        for k in range(n + 1)
+    )
+    return dims, homology

@@ -206,13 +206,24 @@ def test_euler_command_errors(tmp_path, capsys):
     finite = tmp_path / "f.json"
     write(finite, A1)
     assert run(["euler", str(finite), "--degree", "2"]) == 1
+    assert _one_error_line(capsys)
     mixed = tmp_path / "m.json"
     write(
         mixed,
         {"n": 2, "torus_rank": 1, "finite_orders": [], "weight_matrix": [[1, -1]]},
     )
     assert run(["euler", str(mixed), "--degree", "2", "--point-quotient"]) == 1
-    capsys.readouterr()
+    assert _one_error_line(capsys)
+    # degree -1 has no weights, and the grading is still checked
+    assert run(["euler", str(mixed), "--degree", "-1", "--point-quotient"]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_euler_malformed_weight_is_an_input_error(tmp_path, capsys):
+    spec = tmp_path / "t.json"
+    write(spec, {"n": 2, "torus_rank": 1, "finite_orders": [], "weight_matrix": [[1, 2]]})
+    assert run(["euler", str(spec), "--degree", "2", "--weight", "a"]) == 1
+    assert _one_error_line(capsys)
 
 
 def test_canonical_command(tmp_path, capsys):

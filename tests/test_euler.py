@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given
 
 from invforms.action import make_action, weight_of_form, zero_weight, Weight
 from invforms.errors import InhomogeneityError, PreconditionError
@@ -15,10 +16,10 @@ from invforms.euler import (
     is_horizontal,
 )
 from invforms.forms import PolyForm, wedge
-from invforms.pieces import form_to_vector, piece_keys
+from invforms.pieces import Grading, form_to_vector, piece_keys
 from invforms.linalg import Echelon
 from invforms.poly import Polynomial
-from oracles import random_monomial_form
+from oracles import actions, piecewide_homology, random_monomial_form
 
 N = 2
 X = Polynomial.variable(N, 0)
@@ -204,6 +205,22 @@ def test_euler_homology_preconditions():
             ACT1M1, zero_weight(ACT1M1), 2, require_positive_grading=True
         )
     assert "coordinate 2" in str(err.value)
+    w = zero_weight(ACT11)
+    for j in (3, 1, -1):
+        for positive in (False, True):
+            with pytest.raises(PreconditionError):
+                euler_homology(
+                    ACT11, w, 2, torus_index=j, require_positive_grading=positive
+                )
+            with pytest.raises(PreconditionError):
+                homology_all_weights(
+                    ACT11, 2, torus_index=j, require_positive_grading=positive
+                )
+    # degree -1 has no weights; the checks come before enumeration
+    with pytest.raises(PreconditionError):
+        homology_all_weights(ACT1M1, -1, require_positive_grading=True)
+    with pytest.raises(PreconditionError):
+        homology_all_weights(ACT11, -1, torus_index=1)
 
 
 def test_euler_homology_restricted_subcomplex():
@@ -218,3 +235,24 @@ def test_euler_homology_restricted_subcomplex():
     w_bad = Weight((2, 1), (), ())
     res_bad = euler_homology(act, w_bad, 2, restrict_invariant_horizontal=True)
     assert res_bad.dims == (0, 0, 0, 0)
+
+
+# the distinguished row [1, -1] is the other row [2, -2] halved: under
+# the restriction every differential is zero
+@example(make_action(2, torus_rank=2, weight_matrix=[[1, -1], [2, -2]]))
+# neither row is in the span of the other on the full support
+@example(make_action(3, torus_rank=2, weight_matrix=[[1, 0, -1], [0, 1, -1]]))
+# x has finite weight 1: nothing survives the restriction there
+@example(
+    make_action(2, torus_rank=1, finite_orders=[2], weight_matrix=[[1, -1], [1, 0]])
+)
+@given(actions(4, 2).filter(lambda act: act.torus_rank >= 1))
+def test_homology_matches_the_piecewide_route(act):
+    grading = Grading(act)
+    for d in range(5):
+        for w in grading.buckets(d):
+            for j in range(act.torus_rank):
+                for restrict in (False, True):
+                    got = euler_homology(act, w, d, restrict, j, grading=grading)
+                    want = piecewide_homology(act, w, d, restrict, j)
+                    assert (got.dims, got.homology) == want

@@ -237,6 +237,37 @@ def test_canonical_comparison_scans_the_monoid_once(monkeypatch, corpus_dir):
     assert len(scans) == 1
 
 
+def test_standalone_calls_scan_only_to_their_bound(monkeypatch, corpus_dir):
+    import invforms.invariants
+    from invforms.pullback import pullback_image, surjectivity_check
+
+    act = load_action(corpus_dir / "t_12m3.json")  # certificate bound 9
+    scans = _count_calls(monkeypatch, invforms.invariants.hilbert_basis)
+    surjectivity_check(act, 1, 6)
+    pullback_image(act, 1, 6)
+    assert [args[1] for args in scans] == [6, 6]
+
+
+def test_homology_reads_no_pieces(monkeypatch):
+    import invforms.euler
+    import invforms.pieces
+    from invforms.euler import homology_all_weights
+
+    t2_rank2 = make_action(
+        4, torus_rank=2, weight_matrix=[[1, 1, 0, -1], [0, 1, 1, -1]]
+    )
+    calls = [
+        _count_calls(monkeypatch, fn)
+        for fn in (
+            invforms.pieces.piece_keys,
+            invforms.pieces.form_to_vector,
+            invforms.euler.euler_contract,
+        )
+    ]
+    homology_all_weights(t2_rank2, 5, torus_index=1)
+    assert calls == [[], [], []]
+
+
 def test_target_pieces_reuse_their_keys(monkeypatch, corpus_dir):
     import invforms.pieces
     from invforms.pullback import surjectivity_check

@@ -2,17 +2,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-import pytest
 from hypothesis import given, strategies as st
 
 from invforms.action import Weight, make_action, zero_weight
-from invforms.errors import StructuralError
-from invforms.euler import occurring_weights
 from invforms.pieces import (
     Grading,
     block_form,
     block_span,
-    form_block,
+    exterior_basis,
     monomials_of_degree,
     monomials_with_weight,
     piece_keys,
@@ -87,7 +84,7 @@ def test_pieces_match_brute_force(act):
         monos = brute_monomials_by_weight(*_raw(act), act.n, d)
         tables = [brute_pieces(*_raw(act), act.n, k, d) for k in range(act.n + 1)]
         form_weights = set().union(*tables)
-        got = occurring_weights(act, d, grading)
+        got = list(grading.buckets(d))
         assert [(w.torus, w.finite) for w in got] == sorted(form_weights)
         for raw in form_weights:
             w = _weight(act, raw)
@@ -105,27 +102,31 @@ def test_pieces_match_brute_force(act):
 
 @st.composite
 def block_forms(draw, n, k):
-    """A form at one lattice point m: sum of c_I x^(m - e_I) dx_I."""
+    """(m, block vector, form) at one lattice point m: the form is the
+    sum of c_I x^(m - e_I) dx_I, built term by term."""
     m = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     supp = [i for i, x in enumerate(m) if x]
+    vec = [0] * comb(n, k)
     form = PolyForm.zero(n, k)
     for I in combinations(supp, k):
         c = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+        vec[exterior_basis(n, k).index(I)] = c
         exps = tuple(x - (i in I) for i, x in enumerate(m))
         form = form + PolyForm.monomial_form(n, exps, I, c)
-    return form
+    return m, vec, form
 
 
 @given(st.data())
 def test_block_span_matches_polynomial_products(data):
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(0, n))
-    gens = [
-        g for g in data.draw(st.lists(block_forms(n, k), min_size=1, max_size=4))
-        if not g.is_zero
+    drawn = [
+        b for b in data.draw(st.lists(block_forms(n, k), min_size=1, max_size=4))
+        if not b[2].is_zero
     ]
     m = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    blocks = [form_block(g) for g in gens]
+    blocks = [(point, vec) for point, vec, _ in drawn]
+    gens = [g for _, _, g in drawn]
     for g, (point, vec) in zip(gens, blocks):
         assert block_form(n, k, point, vec) == g
     got = block_span(blocks, m, comb(n, k), comb(n, k)).rank
@@ -138,8 +139,3 @@ def test_block_span_matches_polynomial_products(data):
             products.append({(I, exps): c for I, exps, c in prod.terms()})
     keys = sorted(set().union(*products))
     assert got == frac_rank([[p.get(key, 0) for key in keys] for p in products])
-
-
-def test_form_block_rejects_forms_at_two_lattice_points():
-    with pytest.raises(StructuralError):
-        form_block(PolyForm.dx(2, 0) + PolyForm.dx(2, 1))
