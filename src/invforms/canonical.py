@@ -6,11 +6,15 @@ module of the invariant semigroup ring, spanned by the weight-zero
 monomials interior to the monoid's cone.  On strongly stable small
 actions the two series must agree degree by degree under the
 convention that a form's total degree counts each dx once.
+
+Route two reads the interior off supports.  The cone {a >= 0 :
+(torus rows) . a = 0} has only the inequalities a_i >= 0, so its
+relative interior is exactly the set of its points with a_i > 0 on
+every coordinate in the union of the Hilbert-basis supports; the other
+coordinates vanish on the whole cone (see `cones`).
 """
 
 from invforms.action import finite_reflection_elements, zero_weight
-from invforms.cones import facet_normals, in_relative_interior
-from invforms.errors import PreconditionError
 from invforms.invariants import (
     HilbertSeries,
     certified_basis,
@@ -19,7 +23,7 @@ from invforms.invariants import (
     quotient_dimension,
 )
 from invforms.linalg import rank_of_rows
-from invforms.pieces import Grading, monomials_with_weight
+from invforms.pieces import Grading, monomials_with_weight, support
 
 
 def canonical_invariants(action, bound, grading=None):
@@ -31,18 +35,14 @@ def canonical_invariants(action, bound, grading=None):
 
 
 def toric_canonical_series(action, truncation, grading=None):
-    """Counts of weight-zero monomials interior to the monoid cone.
-
-    Requires a certified Hilbert basis (the cone must be known exactly).
+    """Counts of weight-zero monomials interior to the monoid cone: those
+    nonzero on every coordinate of the certified Hilbert basis's supports.
     """
     if grading is None:
         grading = Grading(action)
-    basis = certified_basis(grading)
-    if not basis.complete:
-        raise PreconditionError(
-            "invariant monoid not certified; cannot fix the cone"
-        )
-    normals = facet_normals(basis.generators)
+    used = set()
+    for g in certified_basis(grading).generators:
+        used.update(support(g))
     w0 = zero_weight(action)
     coeffs = []
     for d in range(truncation + 1):
@@ -50,7 +50,7 @@ def toric_canonical_series(action, truncation, grading=None):
             sum(
                 1
                 for exps in monomials_with_weight(action, d, w0, grading)
-                if in_relative_interior(exps, normals)
+                if all(exps[i] for i in used)
             )
         )
     return HilbertSeries(tuple(coeffs))

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from operator import add, mul
 
 from invforms.action import zero_weight
@@ -71,18 +71,25 @@ class SurjectivityResult:
     notes: tuple
 
 
-def _wedge_candidates(action, basis, k):
+def _wedge_candidates(action, basis, k, *, max_degree=None):
     """Each k-subset of the Hilbert basis with a nonzero wedge of
-    differentials, as (lattice point, Plücker vector), in subset order.
+    differentials, as (lattice point, Plücker vector), in subset order;
+    with `max_degree`, only those whose lattice point has degree at most
+    that.
 
     d(x^g_1) ∧ ... ∧ d(x^g_k) = sum_I det(g_j[i])_(i in I) x^(m - e_I) dx_I
     with m = g_1 + ... + g_k, so the wedge lies in block m (see `pieces`)
     and its block vector is the k x k minors, rows in I order and
     columns in subset order.  Minors are built one generator at a time:
     (v ∧ g)_K = sum_r (-1)^(j-r) g[K_r] v_(K minus K_r) for |K| = j + 1.
+    The Hilbert basis ascends by degree, so once the next generator,
+    taken for each of the k - j remaining slots, overshoots `max_degree`,
+    every later one does too.
     """
     n = action.n
     gens = basis.generators
+    degrees = [sum(g) for g in gens]
+    cap = inf if max_degree is None else max_degree
     steps = []
     for j in range(k):
         place = {J: p for p, J in enumerate(combinations(range(n), j))}
@@ -96,7 +103,10 @@ def _wedge_candidates(action, basis, k):
         if j == k:
             out.append((m, vec))
             return
+        room = cap - sum(m)
         for t in range(first, len(gens) - k + j + 1):
+            if (k - j) * degrees[t] > room:
+                break
             g = gens[t]
             nxt = [sum(s * g[i] * vec[p] for s, i, p in terms) for terms in steps[j]]
             if any(nxt):
@@ -106,12 +116,15 @@ def _wedge_candidates(action, basis, k):
     return out
 
 
-def pullback_image(action, k, bound, basis=None, grading=None):
-    """All k-fold wedges of differentials of the invariant generators.
+def pullback_image(action, k, bound, basis=None, grading=None, *, max_degree=None):
+    """All k-fold wedges of differentials of the invariant generators,
+    or, with `max_degree`, those of degree at most that.
 
     A wedge that is a constant-linear combination of earlier wedges at
     its lattice point is dropped; that never shrinks the spanned module.
-    Generators are listed by total degree, then in subset order.
+    All wedges at one lattice point share its degree, so the wedges kept
+    up to `max_degree` are the same either way.  Generators are listed
+    by total degree, then in subset order.
     """
     if k < 0:
         raise PreconditionError(f"form degree must be non-negative, got {k}")
@@ -123,7 +136,7 @@ def pullback_image(action, k, bound, basis=None, grading=None):
         return PullbackImage(k, (), (), bound, basis.complete)
     blocks = {}
     kept = []
-    for m, vec in _wedge_candidates(action, basis, k):
+    for m, vec in _wedge_candidates(action, basis, k, max_degree=max_degree):
         if m not in blocks:
             blocks[m] = Echelon(len(vec))
         if blocks[m].insert(vec) is not None:
@@ -165,7 +178,9 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
         grading = Grading(action)
     if basis is None:
         basis = monoid_basis(grading, bound)
-    image = pullback_image(action, k, bound, basis=basis, grading=grading)
+    image = pullback_image(
+        action, k, bound, basis=basis, grading=grading, max_degree=bound
+    )
     w0 = zero_weight(action)
     ncols = comb(action.n, k)
     gens = image.generator_blocks

@@ -106,6 +106,11 @@ def brute_monomials_by_weight(weight_matrix, torus_rank, finite_orders, n, d):
     return out
 
 
+def in_relative_interior(vec, normals):
+    """Whether a point of a cone is positive against all its facet normals."""
+    return all(sum(map(mul, ell, vec)) > 0 for ell in normals)
+
+
 def random_polynomial(rng, n, max_degree, terms=3):
     from invforms.poly import Polynomial
 

@@ -1,3 +1,5 @@
+from hypothesis import assume, example, given
+
 from invforms.action import make_action
 from invforms.canonical import (
     canonical_comparison,
@@ -6,9 +8,16 @@ from invforms.canonical import (
     torus_part_strongly_stable,
 )
 from invforms.forms import PolyForm, wedge
-from invforms.invariants import hilbert_series_of, invariant_ring_series
+from invforms.cones import facet_normals
+from invforms.invariants import (
+    certified_basis,
+    hilbert_series_of,
+    invariant_ring_series,
+)
+from invforms.pieces import Grading
 from invforms.poly import Polynomial
 from invforms.pullback import surjectivity_check
+from oracles import actions, brute_weight0_monomials, in_relative_interior
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 Z3 = make_action(2, finite_orders=[3], weight_matrix=[[1, 1]])
@@ -47,6 +56,25 @@ def test_toric_canonical_series_examples():
     assert toric_canonical_series(Z2, 4).coefficients == (0, 0, 1, 0, 3)
     assert toric_canonical_series(Z2R, 3).coefficients == (0, 0, 0, 1)
     assert toric_canonical_series(T, 4).coefficients == (0, 0, 1, 0, 1)
+
+
+@given(actions())
+@example(make_action(2, torus_rank=1, weight_matrix=[[1, 1]]))  # zero cone
+@example(make_action(3, torus_rank=1, weight_matrix=[[1, 1, 0]]))  # x, y vanish
+def test_interior_by_support_matches_facets(act):
+    grading = Grading(act)
+    # the certified scan of a larger bound takes seconds to minutes
+    assume(grading.certificate_bound() <= 30)
+    normals = facet_normals(certified_basis(grading).generators)
+    raw = act.weight_matrix, act.torus_rank, act.finite_orders, act.n
+    want = tuple(
+        sum(
+            in_relative_interior(m, normals)
+            for m in brute_weight0_monomials(*raw, d)
+        )
+        for d in range(9)
+    )
+    assert toric_canonical_series(act, 8, grading).coefficients == want
 
 
 def _certified_match(act, truncation):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from invforms.cli import main
 
 
@@ -101,6 +103,20 @@ def test_analyze_inconclusive_exit(tmp_path, capsys):
     )
     assert run(["analyze", str(spec), "--max-degree", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("row", [[-3, 1, -1, -3], [3, -3, 3, 2]])
+def test_analyze_certified_smooth_torus_actions(tmp_path, capsys, row):
+    # free monoids whose Hermite forms depend on the back-reduction order;
+    # surjectivity stays inconclusive at the default bound, hence exit 2
+    spec = tmp_path / "t.json"
+    write(spec, {"n": 4, "torus_rank": 1, "finite_orders": [], "weight_matrix": [row]})
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(spec), "--json", str(out)]) == 2
+    smoothness = json.loads(out.read_text())["smoothness"]
+    assert smoothness["monoid"] == "smooth"
+    assert smoothness["agreement"]
+    assert capsys.readouterr().err == ""
 
 
 def test_report_byte_determinism(tmp_path, capsys):

@@ -157,6 +157,18 @@ def test_plucker_vectors_are_the_wedges(act):
             assert terms == list(w.terms())
 
 
+@given(actions(4, 2), st.integers(0, 12))
+@example(make_action(4, finite_orders=[3], weight_matrix=[[1, 1, 2, 2]]), 7)
+def test_capped_wedges_are_the_wedges_up_to_the_cap(act, cap):
+    basis = hilbert_basis(act, 6)
+    degrees = [sum(g) for g in basis.generators]
+    assert degrees == sorted(degrees)  # the cap's early exit relies on it
+    for k in range(act.n + 1):
+        got = _wedge_candidates(act, basis, k, max_degree=cap)
+        want = [(m, v) for m, v in _wedge_candidates(act, basis, k) if sum(m) <= cap]
+        assert got == want
+
+
 # witnesses that lie in a later block than the first one with a cokernel
 @given(actions(4, 2), st.integers(1, 6))
 @example(make_action(3, finite_orders=[4], weight_matrix=[[1, 1, 3]]), 6)
