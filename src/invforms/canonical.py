@@ -11,7 +11,8 @@ Route two reads the interior off supports.  The cone {a >= 0 :
 (torus rows) . a = 0} has only the inequalities a_i >= 0, so its
 relative interior is exactly the set of its points with a_i > 0 on
 every coordinate in the union of the Hilbert-basis supports; the other
-coordinates vanish on the whole cone (see `cones`).
+coordinates vanish on the whole cone (Bruns–Herzog, Cohen–Macaulay
+Rings, §6.3; Schrijver, Theory of Linear and Integer Programming, §8.2).
 """
 
 from invforms.action import finite_reflection_elements, zero_weight
@@ -35,9 +36,8 @@ def canonical_invariants(action, bound, grading=None):
 
 
 def toric_canonical_series(action, truncation, grading=None):
-    """Counts of weight-zero monomials interior to the monoid cone: those
-    nonzero on every coordinate of the certified Hilbert basis's supports.
-    """
+    """Counts of weight-zero monomials interior to the monoid cone, by
+    degree up to `truncation`."""
     if grading is None:
         grading = Grading(action)
     used = set()

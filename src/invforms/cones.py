@@ -4,12 +4,6 @@ Everything here is desk scale: supports and generator subsets are
 enumerated outright.  The cone of interest is always {a >= 0 :
 (torus rows) . a = 0} and the lattice is the kernel of the full weight
 map (torus rows exactly zero, finite rows zero mod their orders).
-
-That cone is the orthant cut by a linear space, so its only
-inequalities are a_i >= 0 and each facet lies on a coordinate
-hyperplane.  Its relative interior is therefore the set of its points
-with a_i > 0 for every coordinate i that does not vanish on the whole
-cone, and no facet needs to be computed to test it.
 """
 
 from itertools import combinations
@@ -178,8 +172,7 @@ def span_dim(vectors, ncols):
     return rank_of_rows([list(v) for v in vectors], ncols)
 
 
-# No engine path needs facets: the canonical module reads the interior
-# by support (see `canonical`).  `facet_normals` is kept for perfbench/,
+# No engine path needs facets: `facet_normals` is kept for perfbench/,
 # which traces it, and the tests' oracle.
 def facet_normals(gens):
     """Inward normals of the facets of the cone spanned by `gens`.

@@ -116,15 +116,15 @@ def _wedge_candidates(action, basis, k, *, max_degree=None):
     return out
 
 
-def pullback_image(action, k, bound, basis=None, grading=None, *, max_degree=None):
-    """All k-fold wedges of differentials of the invariant generators,
-    or, with `max_degree`, those of degree at most that.
+def pullback_image(action, k, bound, basis=None, grading=None):
+    """The k-fold wedges of differentials of the invariant generators
+    that have degree at most `bound`.
 
     A wedge that is a constant-linear combination of earlier wedges at
     its lattice point is dropped; that never shrinks the spanned module.
-    All wedges at one lattice point share its degree, so the wedges kept
-    up to `max_degree` are the same either way.  Generators are listed
-    by total degree, then in subset order.
+    All wedges at one lattice point share its degree, so the cap drops
+    whole lattice points and keeps the same wedges below it.  Generators
+    are listed by total degree, then in subset order.
     """
     if k < 0:
         raise PreconditionError(f"form degree must be non-negative, got {k}")
@@ -136,7 +136,7 @@ def pullback_image(action, k, bound, basis=None, grading=None, *, max_degree=Non
         return PullbackImage(k, (), (), bound, basis.complete)
     blocks = {}
     kept = []
-    for m, vec in _wedge_candidates(action, basis, k, max_degree=max_degree):
+    for m, vec in _wedge_candidates(action, basis, k, max_degree=bound):
         if m not in blocks:
             blocks[m] = Echelon(len(vec))
         if blocks[m].insert(vec) is not None:
@@ -178,9 +178,7 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
         grading = Grading(action)
     if basis is None:
         basis = monoid_basis(grading, bound)
-    image = pullback_image(
-        action, k, bound, basis=basis, grading=grading, max_degree=bound
-    )
+    image = pullback_image(action, k, bound, basis=basis, grading=grading)
     w0 = zero_weight(action)
     ncols = comb(action.n, k)
     gens = image.generator_blocks

@@ -83,7 +83,7 @@ def test_wedge_generators_are_invariant_horizontal():
         make_action(3, torus_rank=1, weight_matrix=[[1, 1, -2]]),
     ]:
         for k in range(1, act.n + 1):
-            img = pullback_image(act, k, 6)
+            img = pullback_image(act, k, 9)  # every wedge of degree-3 generators
             for w in img.wedge_generators:
                 assert weight_of_form(act, w).is_zero
                 assert is_horizontal(act, w)
