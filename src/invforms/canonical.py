@@ -15,7 +15,7 @@ coordinates vanish on the whole cone (Bruns–Herzog, Cohen–Macaulay
 Rings, §6.3; Schrijver, Theory of Linear and Integer Programming, §8.2).
 """
 
-from invforms.action import finite_reflection_elements, zero_weight
+from invforms.action import finite_reflection_elements
 from invforms.invariants import (
     HilbertSeries,
     certified_basis,
@@ -24,7 +24,7 @@ from invforms.invariants import (
     quotient_dimension,
 )
 from invforms.linalg import rank_of_rows
-from invforms.pieces import Grading, monomials_with_weight, support
+from invforms.pieces import Grading, support
 
 
 def canonical_invariants(action, bound, grading=None):
@@ -43,17 +43,12 @@ def toric_canonical_series(action, truncation, grading=None):
     used = set()
     for g in certified_basis(grading).generators:
         used.update(support(g))
-    w0 = zero_weight(action)
-    coeffs = []
-    for d in range(truncation + 1):
-        coeffs.append(
-            sum(
-                1
-                for exps in monomials_with_weight(action, d, w0, grading)
-                if all(exps[i] for i in used)
-            )
+    return HilbertSeries(
+        tuple(
+            sum(used.issubset(s) for _, s in grading.weight_zero(d))
+            for d in range(truncation + 1)
         )
-    return HilbertSeries(tuple(coeffs))
+    )
 
 
 def torus_part_strongly_stable(action, grading=None):

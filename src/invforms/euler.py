@@ -96,8 +96,7 @@ def horizontal_piece(action, k, degree, weight, grading=None):
     rows = torus_rows(action)
     bases = {}
     found = []
-    for m in block_points(grading, k, degree, weight):
-        s = support(m)
+    for m, s in block_points(grading, k, degree, weight):
         if s not in bases:
             bases[s] = horizontal_block(action.n, k, s, rows)
         found.extend((block_key(action.n, k, m, v), m, v) for v in bases[s])

@@ -18,12 +18,11 @@ from invforms.errors import PreconditionError
 from invforms.euler import horizontal_block, torus_rows
 from invforms.pieces import (
     Grading,
+    Saturation,
     block_form,
     block_key,
     block_points,
     block_span,
-    monomials_with_weight,
-    support,
 )
 
 
@@ -74,10 +73,9 @@ def hilbert_basis(action, bound, grading=None):
     _check_bound(bound)
     if grading is None:
         grading = Grading(action)
-    w0 = zero_weight(action)
     gens = []
     for d in range(1, bound + 1):
-        for exps in monomials_with_weight(action, d, w0, grading):
+        for exps, _ in grading.weight_zero(d):
             if not any(_dominates(exps, g) for g in gens):
                 gens.append(exps)
     cert = grading.certificate_bound()
@@ -166,6 +164,10 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
     canonical block basis and a candidate is recorded exactly when it
     is not generated from lower degrees (graded Nakayama).  Generators
     of one degree are listed in the piece order of their free columns.
+
+    Once a block is swept it holds its whole canonical basis, its cap,
+    so a later point that dominates it with the same support finds
+    nothing new and is skipped (`pieces.Saturation`).
     """
     if bound < k:
         raise PreconditionError(f"bound {bound} below form degree {k}")
@@ -175,12 +177,14 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
     w0 = zero_weight(action)
     rows = torus_rows(action) if horizontal else ()
     bases = {}
+    capped = Saturation()
     blocks = []
     degrees = []
     for d in range(k, bound + 1):
         found = []
-        for m in block_points(grading, k, d, w0):
-            s = support(m)
+        for m, s in block_points(grading, k, d, w0):
+            if capped.covers(m, s):
+                continue
             if s not in bases:
                 bases[s] = horizontal_block(n, k, s, rows)
             # every generator so far has degree below d
@@ -188,6 +192,7 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
             for v in bases[s]:
                 if ech.insert(v) is not None:
                     found.append((block_key(n, k, m, v), m, v))
+            capped.record(m, s)
         found.sort(key=itemgetter(0))
         blocks.extend((m, v) for _, m, v in found)
         degrees.extend(d for _ in found)
@@ -200,12 +205,8 @@ def invariant_ring_series(action, truncation, grading=None):
     """Direct count of weight-zero monomials per degree (the honest series)."""
     if grading is None:
         grading = Grading(action)
-    w0 = zero_weight(action)
     return HilbertSeries(
-        tuple(
-            len(monomials_with_weight(action, d, w0, grading))
-            for d in range(truncation + 1)
-        )
+        tuple(len(grading.weight_zero(d)) for d in range(truncation + 1))
     )
 
 
@@ -213,7 +214,8 @@ def hilbert_series_of(obj, action, truncation, grading=None):
     """Per-degree weight-zero dimensions of the module spanned by `obj`.
 
     A MonoidBasis spans the subring generated by its monomials (closure
-    under sums); a GradedSubmodule spans its invariant-ring span.
+    under sums); a GradedSubmodule spans its invariant-ring span, whose
+    blocks saturate up the monoid (`pieces.Saturation`).
     """
     if isinstance(obj, MonoidBasis):
         reach = [set() for _ in range(truncation + 1)]
@@ -234,12 +236,18 @@ def hilbert_series_of(obj, action, truncation, grading=None):
     k = obj.form_degree
     blocks = obj.generator_blocks
     ncols = comb(action.n, k)
-    return HilbertSeries(
-        tuple(
-            sum(
-                block_span(blocks, m, ncols, comb(len(support(m)), k)).rank
-                for m in block_points(grading, k, d, w0)
-            )
-            for d in range(truncation + 1)
-        )
-    )
+    capped = Saturation()
+    coeffs = []
+    for d in range(truncation + 1):
+        dim = 0
+        for m, s in block_points(grading, k, d, w0):
+            full = comb(len(s), k)
+            if not capped.covers(m, s):
+                rank = block_span(blocks, m, ncols, full).rank
+                if rank < full:
+                    dim += rank
+                    continue
+                capped.record(m, s)
+            dim += full
+        coeffs.append(dim)
+    return HilbertSeries(tuple(coeffs))

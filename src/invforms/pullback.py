@@ -22,11 +22,11 @@ from invforms.invariants import monoid_basis
 from invforms.linalg import Echelon, echelon_of
 from invforms.pieces import (
     Grading,
+    Saturation,
     block_form,
     block_key,
     block_points,
     block_span,
-    support,
 )
 
 
@@ -172,7 +172,12 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
     has one, and `inconclusive` when certification is out of reach at
     this bound.  Each piece is computed block by block: the image at m
     is spanned by the wedge generators at lattice points <= m, and the
-    target is the horizontal block at supp m.
+    target is the horizontal block at supp m.  An image block that
+    reaches its cap C(|supp m|, k) is the whole target there (a larger
+    image would have failed the horizontality check), and so is the
+    image at every later point of the same support that dominates it,
+    which therefore takes the cap without a `block_span`
+    (`pieces.Saturation`).
     """
     if grading is None:
         grading = Grading(action)
@@ -187,26 +192,32 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
     witness = None
     witness_degrees = []
     targets = {}
+    capped = Saturation()
     for d in range(bound + 1):
         tdim = idim = 0
         short = []  # blocks where the image misses part of the target
         # generators are sorted by degree; later ones reach no block here
         usable = gens[: bisect_right(image.generator_degrees, d)]
-        for m in block_points(grading, k, d, w0):
-            s = support(m)
+        for m, s in block_points(grading, k, d, w0):
             if s not in targets:
                 targets[s] = horizontal_block(action.n, k, s, torus)
             target = targets[s]
-            ech = block_span(usable, m, ncols, comb(len(s), k))
+            tdim += len(target)
+            if capped.covers(m, s):
+                idim += len(target)
+                continue
+            full = comb(len(s), k)
+            ech = block_span(usable, m, ncols, full)
             if ech.rank > len(target):
                 raise InternalCheckError(
                     f"image dimension {ech.rank} exceeds target dimension "
                     f"{len(target)} in degree {d} at lattice point {m}; the "
                     "image is not horizontal-invariant"
                 )
-            tdim += len(target)
             idim += ech.rank
-            if ech.rank < len(target):
+            if ech.rank == full:
+                capped.record(m, s)
+            elif ech.rank < len(target):
                 short.append((m, target, ech.rows))
         coker = tdim - idim
         rows.append((d, tdim, idim, coker))

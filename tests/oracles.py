@@ -7,7 +7,10 @@ from the raw matrix.  The exceptions are `piecewide_cokernel_table`
 and `piecewide_homology`, the engine's former piece-wide routes, kept
 to check the block routes against: they read piece bases from
 `piece_keys` and reduce with `Echelon`, both checked against brute
-force in their own tests.
+force in their own tests.  Likewise `unsaturated_form_generators` and
+`unsaturated_series_of` are the engine's former block sweeps, which
+span every block from scratch and read their points off
+`Grading.buckets`.
 """
 
 from fractions import Fraction
@@ -411,3 +414,62 @@ def piecewide_homology(action, weight, degree, restrict, torus_index):
         for k in range(n + 1)
     )
     return dims, homology
+
+
+def unsaturated_form_generators(action, k, horizontal, bound):
+    """(generator blocks, generator degrees) of the invariant k-form
+    module, each block spanned from scratch: a candidate of the
+    canonical block basis is a generator exactly when the generators
+    of lower degree do not reach it."""
+    from math import comb
+    from operator import itemgetter
+
+    from invforms.action import zero_weight
+    from invforms.euler import horizontal_block, torus_rows
+    from invforms.pieces import Grading, block_key, block_span, support
+
+    n = action.n
+    grading = Grading(action)
+    w0 = zero_weight(action)
+    rows = torus_rows(action) if horizontal else ()
+    bases = {}
+    blocks = []
+    degrees = []
+    for d in range(k, bound + 1):
+        found = []
+        for m in grading.buckets(d).get(w0, ()):
+            s = support(m)
+            if len(s) < k:
+                continue
+            if s not in bases:
+                bases[s] = horizontal_block(n, k, s, rows)
+            ech = block_span(blocks, m, comb(n, k), len(bases[s]))
+            for v in bases[s]:
+                if ech.insert(v) is not None:
+                    found.append((block_key(n, k, m, v), m, v))
+        found.sort(key=itemgetter(0))
+        blocks.extend((m, v) for _, m, v in found)
+        degrees.extend(d for _ in found)
+    return tuple(blocks), tuple(degrees)
+
+
+def unsaturated_series_of(action, k, generator_blocks, truncation):
+    """Per-degree weight-zero dimensions of the module of k-forms that
+    the (point, block vector) generators span, every block spanned from
+    scratch."""
+    from math import comb
+
+    from invforms.action import zero_weight
+    from invforms.pieces import Grading, block_span, support
+
+    grading = Grading(action)
+    w0 = zero_weight(action)
+    ncols = comb(action.n, k)
+    return tuple(
+        sum(
+            block_span(generator_blocks, m, ncols, comb(len(support(m)), k)).rank
+            for m in grading.buckets(d).get(w0, ())
+            if len(support(m)) >= k
+        )
+        for d in range(truncation + 1)
+    )

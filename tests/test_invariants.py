@@ -1,6 +1,7 @@
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from invforms.action import load_action, make_action, weight_of_form, zero_weight
 from invforms.errors import PreconditionError
@@ -18,12 +19,18 @@ from invforms.invariants import (
 from invforms.linalg import Echelon
 from invforms.pieces import (
     Grading,
+    block_points,
     form_to_vector,
     monomials_with_weight,
     piece_keys,
 )
 from invforms.poly import Polynomial
-from oracles import brute_weight0_monomials
+from oracles import (
+    actions,
+    brute_weight0_monomials,
+    unsaturated_form_generators,
+    unsaturated_series_of,
+)
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 Z3 = make_action(2, finite_orders=[3], weight_matrix=[[1, 1]])
@@ -193,6 +200,28 @@ def test_series_of_module_matches_piece_dimensions():
     assert series.coefficients == (0, 0, 4, 0, 8, 0, 12)
 
 
+# torus [1, -1, 0] and Z2 [0, 0, 1]: z^2 is invariant, so blocks at
+# support {z} saturate on a torus action
+MIX = make_action(3, torus_rank=1, finite_orders=[2],
+                  weight_matrix=[[1, -1, 0], [0, 0, 1]])
+
+
+@given(actions(), st.booleans())
+@example(MIX, True)
+@example(MIX, False)
+@example(make_action(3, finite_orders=[3], weight_matrix=[[1, 1, 1]]), True)
+def test_saturated_sweeps_match_the_unsaturated_ones(act, horizontal):
+    grading = Grading(act)
+    bound = 7
+    for k in range(act.n + 1):
+        sub = invariant_form_generators(act, k, horizontal, bound, grading)
+        blocks, degrees = unsaturated_form_generators(act, k, horizontal, bound)
+        assert sub.generator_blocks == blocks
+        assert sub.generator_degrees == degrees
+        series = hilbert_series_of(sub, act, bound, grading).coefficients
+        assert series == unsaturated_series_of(act, k, blocks, bound)
+
+
 def _count_calls(monkeypatch, fn):
     """Record the arguments of every engine call of `fn`, under every
     name any invforms module binds it to."""
@@ -304,3 +333,40 @@ def test_truncated_basis_equals_shorter_scan():
     for bound in range(1, 10):
         assert monoid_basis(grading, bound) == hilbert_basis(act, bound)
     assert grading.monoid.search_bound == 9
+
+
+def test_saturated_blocks_skip_block_span(monkeypatch, corpus_dir):
+    import invforms.pieces
+    from invforms.pullback import surjectivity_check
+
+    act = load_action(corpus_dir / "z3_111.json")
+    grading = Grading(act)
+    w0 = zero_weight(act)
+    calls = _count_calls(monkeypatch, invforms.pieces.block_span)
+    for k in range(1, 4):
+        calls.clear()
+        surjectivity_check(act, k, 12)
+        listed = sum(len(block_points(grading, k, d, w0)) for d in range(13))
+        assert 0 < len(calls) < listed
+
+
+def test_analysis_builds_no_all_weight_bucket(monkeypatch, corpus_dir):
+    import invforms.pieces
+    from invforms.euler import homology_all_weights
+    from invforms.report import run_analysis
+
+    buckets = Grading.buckets
+    degrees = []
+
+    def counted(self, d):
+        degrees.append(d)
+        return buckets(self, d)
+
+    monkeypatch.setattr(Grading, "buckets", counted)
+    monos = _count_calls(monkeypatch, invforms.pieces.monomials_with_weight)
+    for name in ("t_12m3", "mix_t1z2", "z4_123", "t_rank2"):
+        run_analysis(load_action(corpus_dir / f"{name}.json"))
+    assert degrees == []
+    assert monos == []
+    homology_all_weights(load_action(corpus_dir / "t_12m3.json"), 3)
+    assert degrees == [3]

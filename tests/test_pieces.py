@@ -2,9 +2,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from invforms.action import Weight, make_action, zero_weight
+from invforms.action import Weight, load_action, make_action, zero_weight
 from invforms.pieces import (
     Grading,
     block_form,
@@ -13,6 +13,7 @@ from invforms.pieces import (
     monomials_of_degree,
     monomials_with_weight,
     piece_keys,
+    support,
 )
 from invforms.forms import PolyForm
 from invforms.poly import Polynomial
@@ -51,6 +52,29 @@ def test_weight0_enumeration_matches_oracle():
                 act.weight_matrix, act.torus_rank, act.finite_orders, act.n, d
             )
             assert got == want
+
+
+def _assert_weight_zero_is_the_zero_bucket(act):
+    grading = Grading(act)
+    w0 = zero_weight(act)
+    assert grading.weight_zero(-1) == []
+    for d in range(11):
+        want = grading.buckets(d).get(w0, [])
+        got = grading.weight_zero(d)
+        assert [m for m, _ in got] == want
+        assert [s for _, s in got] == [support(m) for m in want]
+
+
+@given(actions())
+@example(make_action(4, torus_rank=2, weight_matrix=[[-3, 1, -3, 2], [2, 0, -3, 1]]))
+@example(make_action(3, finite_orders=[4, 6], weight_matrix=[[1, 2, 3], [1, 0, 5]]))
+def test_weight_zero_points_are_the_zero_bucket(act):
+    _assert_weight_zero_is_the_zero_bucket(act)
+
+
+def test_weight_zero_points_on_the_corpus(corpus_dir):
+    for path in sorted(corpus_dir.glob("*.json")):
+        _assert_weight_zero_is_the_zero_bucket(load_action(path))
 
 
 def test_piece_keys_order_and_content():

@@ -1,9 +1,12 @@
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
+import pytest
 from hypothesis import example, given, strategies as st
 
-from invforms.action import make_action, weight_of_form
+from invforms.action import load_action, make_action, weight_of_form
+from invforms.errors import InternalCheckError
 from invforms.euler import is_horizontal
 from invforms.forms import PolyForm, wedge
 from invforms.invariants import hilbert_basis, quotient_dimension
@@ -192,6 +195,41 @@ def test_blocks_match_the_piecewide_route(act, bound):
                 rank = frac_rank([[row[i] for i in S] for row in torus])
                 closed += comb(len(S) - rank, k)
             assert tdim == closed
+
+
+def test_non_horizontal_image_fails_the_block_check(monkeypatch, corpus_dir):
+    import invforms.pullback
+
+    # torus [1, -1, 0], Z2 [0, 0, 1]: the blocks at (0, 0, 2j) have the
+    # whole of Λ^1 as target, reach their cap and saturate
+    act = load_action(corpus_dir / "mix_t1z2.json")
+    real = invforms.pullback.pullback_image
+    bad = ((1, 1, 2), [1, 0, 0])  # y z^2 dx, not horizontal
+
+    def with_bad_generator(*args, **kwargs):
+        img = real(*args, **kwargs)
+        blocks = sorted(img.generator_blocks + (bad,), key=lambda b: sum(b[0]))
+        return replace(
+            img,
+            generator_blocks=tuple(blocks),
+            generator_degrees=tuple(sum(m) for m, _ in blocks),
+        )
+
+    spanned = []
+    block_span = invforms.pullback.block_span
+
+    def recorded(gens, m, ncols, full):
+        spanned.append(m)
+        return block_span(gens, m, ncols, full)
+
+    monkeypatch.setattr(invforms.pullback, "block_span", recorded)
+    assert surjectivity_check(act, 1, 6).verdict == "surjective"
+    assert (0, 0, 2) in spanned and (0, 0, 4) not in spanned
+    spanned.clear()
+    monkeypatch.setattr(invforms.pullback, "pullback_image", with_bad_generator)
+    with pytest.raises(InternalCheckError, match=r"degree 4 at lattice point \(1, 1, 2\)"):
+        surjectivity_check(act, 1, 6)
+    assert spanned[-1] == (1, 1, 2) and (0, 0, 4) not in spanned
 
 
 def test_target_generator_bound_finite():
