@@ -118,13 +118,20 @@ def cmd_analyze(args):
 
 
 def _corpus_worker(item):
+    """(name, report, None), or (name, None, message) when the spec is
+    malformed or the analysis raises an engine error."""
     name, path, max_degree = item
-    action = load_action(path)
-    report = run_analysis(action, max_degree=max_degree)
-    return name, report
+    try:
+        report = run_analysis(load_action(path), max_degree=max_degree)
+    except (EngineError, json.JSONDecodeError) as exc:
+        return name, None, f"{path}: {exc}"
+    return name, report, None
 
 
 def cmd_corpus(args):
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
     root = Path(args.corpus_dir)
     if not root.is_dir():
         print(f"error: not a directory: {root}", file=sys.stderr)
@@ -136,15 +143,17 @@ def cmd_corpus(args):
         print(f"error: empty corpus: {root}", file=sys.stderr)
         return 1
     items = [(p.stem, str(p), args.max_degree) for p in specs]
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = dict(pool.map(_corpus_worker, items))
-        else:
-            results = dict(map(_corpus_worker, items))
-    except (EngineError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            done = list(pool.map(_corpus_worker, items))
+    else:
+        done = map(_corpus_worker, items)
+    results = {}
+    for name, report, error in done:
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
+        results[name] = report
 
     violations = []
     mismatches = []

@@ -12,7 +12,6 @@ from functools import cached_property
 from math import comb
 from operator import itemgetter
 
-from invforms.action import zero_weight
 from invforms.cones import span_dim
 from invforms.errors import PreconditionError
 from invforms.euler import horizontal_block, torus_rows
@@ -21,8 +20,10 @@ from invforms.pieces import (
     Saturation,
     block_form,
     block_key,
-    block_points,
-    block_span,
+    lift,
+    lift_generators,
+    span,
+    zero_blocks,
 )
 
 
@@ -55,10 +56,6 @@ class MonoidBasis:
         )
 
 
-def _dominates(a, b):
-    return all(x >= y for x, y in zip(a, b))
-
-
 def _check_bound(bound):
     if bound < 1:
         raise PreconditionError(f"bound must be at least 1, got {bound}")
@@ -67,17 +64,24 @@ def _check_bound(bound):
 def hilbert_basis(action, bound, grading=None):
     """Minimal generators of the weight-zero monoid up to total degree `bound`.
 
-    This is the monoid scan.  Within one call, take bases from
-    `monoid_basis`, which cuts smaller bases from the grading's scan.
+    This is the monoid scan: a point is a generator when it dominates
+    no generator of lower degree, tested on packed keys (`pieces`).
+    Within one call, take bases from `monoid_basis`, which cuts smaller
+    bases from the grading's scan.
     """
     _check_bound(bound)
     if grading is None:
         grading = Grading(action)
+    guard = grading.guard
     gens = []
+    keys = []
     for d in range(1, bound + 1):
-        for exps, _ in grading.weight_zero(d):
-            if not any(_dominates(exps, g) for g in gens):
+        points = zip(grading.weight_zero(d), grading.weight_zero_keys(d))
+        for (exps, _), key in points:
+            top = key | guard
+            if not any((top - g) & guard == guard for g in keys):
                 gens.append(exps)
+                keys.append(key)
     cert = grading.certificate_bound()
     return MonoidBasis(tuple(gens), bound >= cert, bound, cert)
 
@@ -162,8 +166,10 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
     of the torus contractions (no-op for finite-only actions).  Sweeps
     total degrees up to `bound`; within each block, candidates are the
     canonical block basis and a candidate is recorded exactly when it
-    is not generated from lower degrees (graded Nakayama).  Generators
-    of one degree are listed in the piece order of their free columns.
+    is not generated from lower degrees (graded Nakayama); what lower
+    degrees generate at m is spanned by the generators lifted to m
+    (`pieces.lift`).  Generators of one degree are listed in the piece
+    order of their free columns.
 
     Once a block is swept it holds its whole canonical basis, its cap,
     so a later point that dominates it with the same support finds
@@ -174,27 +180,32 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
     if grading is None:
         grading = Grading(action)
     n = action.n
-    w0 = zero_weight(action)
     rows = torus_rows(action) if horizontal else ()
     bases = {}
-    capped = Saturation()
+    capped = Saturation(grading.guard)
     blocks = []
     degrees = []
+    gens = []  # (packed key, degree, block vector) of `blocks`
     for d in range(k, bound + 1):
+        todo = [
+            (m, s, key)
+            for m, s, key in zero_blocks(grading, k, d)
+            if not capped.covers(key, s)
+        ]
+        # every generator so far has degree below d
+        lifted = lift(grading, gens, d, [key for _, _, key in todo])
         found = []
-        for m, s in block_points(grading, k, d, w0):
-            if capped.covers(m, s):
-                continue
+        for m, s, key in todo:
             if s not in bases:
                 bases[s] = horizontal_block(n, k, s, rows)
-            # every generator so far has degree below d
-            ech = block_span(blocks, m, comb(n, k), len(bases[s]))
+            ech = span(lifted[key], comb(n, k), len(bases[s]))
             for v in bases[s]:
                 if ech.insert(v) is not None:
-                    found.append((block_key(n, k, m, v), m, v))
-            capped.record(m, s)
+                    found.append((block_key(n, k, m, v), m, key, v))
+            capped.record(key, s)
         found.sort(key=itemgetter(0))
-        blocks.extend((m, v) for _, m, v in found)
+        blocks.extend((m, v) for _, m, _, v in found)
+        gens.extend((key, d, v) for _, _, key, v in found)
         degrees.extend(d for _ in found)
     # monoid_basis(grading, max(bound, 1)).complete, without a monoid scan
     complete = max(bound, 1) >= grading.certificate_bound()
@@ -215,7 +226,8 @@ def hilbert_series_of(obj, action, truncation, grading=None):
 
     A MonoidBasis spans the subring generated by its monomials (closure
     under sums); a GradedSubmodule spans its invariant-ring span, whose
-    blocks saturate up the monoid (`pieces.Saturation`).
+    block at m is spanned by the generators lifted to m (`pieces.lift`)
+    and whose blocks saturate up the monoid (`pieces.Saturation`).
     """
     if isinstance(obj, MonoidBasis):
         reach = [set() for _ in range(truncation + 1)]
@@ -232,22 +244,25 @@ def hilbert_series_of(obj, action, truncation, grading=None):
 
     if grading is None:
         grading = Grading(action)
-    w0 = zero_weight(action)
     k = obj.form_degree
-    blocks = obj.generator_blocks
+    gens = lift_generators(obj.generator_blocks)
     ncols = comb(action.n, k)
-    capped = Saturation()
+    capped = Saturation(grading.guard)
     coeffs = []
     for d in range(truncation + 1):
         dim = 0
-        for m, s in block_points(grading, k, d, w0):
+        todo = []
+        for m, s, key in zero_blocks(grading, k, d):
+            if capped.covers(key, s):
+                dim += comb(len(s), k)
+            else:
+                todo.append((s, key))
+        lifted = lift(grading, gens, d, [key for _, key in todo])
+        for s, key in todo:
             full = comb(len(s), k)
-            if not capped.covers(m, s):
-                rank = block_span(blocks, m, ncols, full).rank
-                if rank < full:
-                    dim += rank
-                    continue
-                capped.record(m, s)
-            dim += full
+            rank = span(lifted[key], ncols, full).rank
+            if rank == full:
+                capped.record(key, s)
+            dim += rank
         coeffs.append(dim)
     return HilbertSeries(tuple(coeffs))

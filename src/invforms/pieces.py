@@ -37,28 +37,54 @@ subsets of supp m, so a block never has more than C(n, k) columns.
 Reduced echelon forms, kernel bases and the piece order of a block
 vector (`block_key`) are those of the piece restricted to the block.
 
-Blocks saturate up the monoid.  The block at m of a module generated
+Each weight-zero point m also has a packed key, one KEY_WIDTH-bit
+field per coordinate, m_i in field i, whose top bit is a guard bit
+left at 0.  Coordinates never exceed the degree, and `weight_zero`
+raises `ResourceLimitError` at a degree that would reach the guard
+bit, so with G the mask of the guard bits (`Grading.guard`)
+
+    key(p + q) = key(p) + key(q),
+    p <= m  exactly when  ((key(m) | G) - key(p)) & G == G:
+
+field i of (key(m) | G) - key(p) is 2^(KEY_WIDTH - 1) + m_i - p_i,
+which borrows from nothing and keeps its guard bit exactly when
+m_i >= p_i.  Monoid addition and domination are one integer operation.
+
+Blocks are lifted up the monoid.  The block at m of a module generated
 by block vectors at points p is spanned by the generators with p <= m,
-moved to m unchanged.  Let q <= m be weight-zero points with
+moved to m unchanged.  Generators sit at weight-zero points, and
+weight is additive, so m - p >= 0 has weight zero exactly when m
+does: the weight-zero points of degree d that dominate p are exactly
+p + q for q in weight_zero(d - |p|).  `lift` adds the keys of those q
+to the key of each generator, in generator order, and so hands every
+point the list of vectors that a scan over all generators would keep
+for it, in the same order; `span` reduces a list up to the block's
+cap.
+
+Blocks saturate up the monoid.  Let q <= m be weight-zero points with
 supp q = supp m.  Then x^(m - q) is invariant and moves the block at q
 into the block at m, and both lie in Λ^k(Q^(supp m)), so they share
-one cap (the rank `block_span` stops at).  Once the block at q reaches
-its cap, so has the block at every such m: a `Saturation` records q
-under its support, and a later m that dominates it takes the cap
-without a `block_span`.  A check on the rank at m, such as the
-horizontality check of `pullback.surjectivity_check`, would see the
-same numbers as it saw at q.
+one cap (the rank `span` stops at).  Once the block at q reaches its
+cap, so has the block at every such m: a `Saturation` records q under
+its support, and a later m that dominates it takes the cap without a
+`span`.  Two distinct points of one degree never dominate each other,
+so the points of degree d that stay open are settled before any of
+them is spanned.  A check on the rank at m, such as the horizontality
+check of `pullback.surjectivity_check`, would see the same numbers as
+it saw at q.
 """
 
 from itertools import combinations
-from operator import le
 
 from invforms.action import weight_of_exponents
 from invforms.cones import hilbert_certificate_bound
-from invforms.errors import StructuralError
+from invforms.errors import ResourceLimitError, StructuralError
 from invforms.forms import PolyForm
 from invforms.linalg import Echelon
 from invforms.poly import Polynomial
+
+# Bits per coordinate of a packed key; the top one is the guard bit.
+KEY_WIDTH = 16
 
 
 class Grading:
@@ -71,6 +97,8 @@ class Grading:
     def __init__(self, action):
         self.action = action
         self.monoid = None
+        # the guard bits of the packed keys (see the module docstring)
+        self.guard = pack((1 << (KEY_WIDTH - 1),) * action.n)
         self._certificate = None
         self._buckets = {}
         self._weight_zero = {}
@@ -78,8 +106,20 @@ class Grading:
     def weight_zero(self, d):
         """[(m, supp m)] for the weight-zero exponents m of degree d,
         ascending; the same points as `buckets(d)` at weight zero."""
+        return self._zero(d)[0]
+
+    def weight_zero_keys(self, d):
+        """The packed keys of `weight_zero(d)`, in the same order."""
+        return self._zero(d)[1]
+
+    def _zero(self, d):
         got = self._weight_zero.get(d)
         if got is None:
+            if d >= 1 << (KEY_WIDTH - 1):
+                raise ResourceLimitError(
+                    f"degree {d} does not fit a {KEY_WIDTH}-bit packed "
+                    f"coordinate; degrees stop at {(1 << (KEY_WIDTH - 1)) - 1}"
+                )
             got = self._weight_zero[d] = weight_zero_points(self.action, d)
         return got
 
@@ -117,19 +157,25 @@ def monomials_of_degree(n, d):
     return out
 
 
+def pack(m):
+    """The packed key of an exponent vector (see the module docstring)."""
+    return sum(x << (KEY_WIDTH * i) for i, x in enumerate(m))
+
+
 def weight_zero_points(action, d):
-    """(m, supp m) for every weight-zero exponent vector m of degree d,
-    ascending lexicographic (see the module docstring)."""
+    """([(m, supp m)], [packed key of m]) for the weight-zero exponent
+    vectors m of degree d, ascending lexicographic (see the module
+    docstring)."""
     n = action.n
     torus = [action.torus_row(j) for j in range(action.torus_rank)]
     orders = action.finite_orders
     finite = [action.finite_row(j) for j in range(len(orders))]
     if d < 0 or any(d * min(row) > 0 or d * max(row) < 0 for row in torus):
-        return []
+        return [], []
     if n == 1:
         if any(d * row[0] % m for row, m in zip(finite, orders)):
-            return []
-        return [((d,), (0,) if d else ())]
+            return [], []
+        return [((d,), (0,) if d else ())], [d]
     last = n - 1
     # per coordinate i < last and torus row: (entry at i, least and
     # largest entry after i), and the columns at i
@@ -140,9 +186,11 @@ def weight_zero_points(action, d):
     cols = [[row[i] for row in torus] for i in range(last)]
     fcols = [[row[i] for row in finite] for i in range(last)]
     tail = [(row[last - 1], row[last], m) for row, m in zip(finite, orders)]
+    top = KEY_WIDTH * last
     out = []
+    keys = []
 
-    def walk(i, r, sums, residues, prefix, supp):
+    def walk(i, r, sums, residues, prefix, supp, key):
         lo, hi = 0, r
         for (w, least, most), p in zip(ranges[i], sums):
             # the degree a at i must keep r' least <= -(p + a w) <= r' most
@@ -170,6 +218,7 @@ def weight_zero_points(action, d):
                     [f + a * w for f, w in zip(residues, fcols[i])],
                     prefix + (a,),
                     supp + (i,) if a else supp,
+                    key + (a << (KEY_WIDTH * i)),
                 )
             return
         # x_last takes the rest; at i = last - 1 the least and largest
@@ -182,9 +231,10 @@ def weight_zero_points(action, d):
             else:
                 s = supp + (i,) if a else supp
                 out.append((prefix + (a, rest), s + (last,) if rest else s))
+                keys.append(key + (a << (KEY_WIDTH * i)) + (rest << top))
 
-    walk(0, d, [0] * len(torus), [0] * len(finite), (), ())
-    return out
+    walk(0, d, [0] * len(torus), [0] * len(finite), (), (), 0)
+    return out, keys
 
 
 # No engine path reads whole pieces or monomial lists: `piece_keys`,
@@ -252,35 +302,71 @@ def block_points(grading, k, degree, weight):
     return [p for p in points if len(p[1]) >= k]
 
 
-class Saturation:
-    """Points whose block reached its cap, by support (see the module
-    docstring); one per module and form degree."""
+def zero_blocks(grading, k, degree):
+    """(m, supp m, packed key) for the weight-zero points of the degree
+    with a nonzero block of k-forms (|supp m| >= k), ascending."""
+    points = grading.weight_zero(degree)
+    keys = grading.weight_zero_keys(degree)
+    return [(m, s, key) for (m, s), key in zip(points, keys) if len(s) >= k]
 
-    def __init__(self):
+
+class Saturation:
+    """Packed keys of the points whose block reached its cap, by support
+    (see the module docstring); one per module and form degree."""
+
+    def __init__(self, guard):
+        self._guard = guard
         self._capped = {}
 
-    def covers(self, m, supp):
-        """Whether m dominates a recorded point of support `supp`."""
+    def covers(self, key, supp):
+        """Whether the point with packed key `key` dominates a recorded
+        point of support `supp`."""
         points = self._capped.get(supp)
-        return points is not None and any(all(map(le, q, m)) for q in points)
+        if points is None:
+            return False
+        guard = self._guard
+        top = key | guard
+        return any((top - q) & guard == guard for q in points)
 
-    def record(self, m, supp):
-        self._capped.setdefault(supp, []).append(m)
+    def record(self, key, supp):
+        self._capped.setdefault(supp, []).append(key)
 
 
-def block_span(gens, m, ncols, full):
-    """Echelon of the block vectors (point, vector) in `gens` whose point
-    is <= m componentwise: the block at m of the module they generate.
+def lift_generators(blocks):
+    """(packed key, degree, vector) for each block generator (m, vector),
+    in order: the generators as `lift` reads them."""
+    return [(pack(m), sum(m), vec) for m, vec in blocks]
 
-    Multiplying by x^(m - point) moves a block vector to block m without
-    changing its coordinates.  Insertion stops once the rank is `full`.
-    """
+
+def lift(grading, gens, d, keys):
+    """{key: vectors} for the weight-zero points of degree d with the
+    given packed keys: the vector of each generator (packed key, degree,
+    block vector) in `gens` is appended, in order, at every such point
+    that dominates it (see the module docstring)."""
+    lifted = {key: [] for key in keys}
+    if not lifted:
+        return lifted
+    for p, deg, vec in gens:
+        if deg > d:
+            continue
+        for q in grading.weight_zero_keys(d - deg):
+            got = lifted.get(p + q)
+            if got is not None:
+                got.append(vec)
+    return lifted
+
+
+def span(vectors, ncols, full):
+    """Echelon of the block vectors in order, stopping once the rank is
+    `full`: with the vectors `lift` hands a point, the block there of the
+    module they generate.  Multiplying by x^(m - p) moves a block vector
+    from p to m without changing its coordinates."""
     ech = Echelon(ncols)
     rank = 0
-    for point, vec in gens:
+    for vec in vectors:
         if rank == full:
             break
-        if all(map(le, point, m)) and ech.insert(vec) is not None:
+        if ech.insert(vec) is not None:
             rank += 1
     return ech
 

@@ -8,14 +8,12 @@ horizontal k-forms is decided degreewise against a certified bound on
 the degrees of the target's minimal generators.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb, inf
 from operator import add, mul
 
-from invforms.action import zero_weight
 from invforms.errors import InternalCheckError, PreconditionError
 from invforms.euler import horizontal_block, torus_rows
 from invforms.invariants import monoid_basis
@@ -25,8 +23,10 @@ from invforms.pieces import (
     Saturation,
     block_form,
     block_key,
-    block_points,
-    block_span,
+    lift,
+    lift_generators,
+    span,
+    zero_blocks,
 )
 
 
@@ -171,12 +171,13 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
     witness degrees and a canonical witness class) as soon as a piece
     has one, and `inconclusive` when certification is out of reach at
     this bound.  Each piece is computed block by block: the image at m
-    is spanned by the wedge generators at lattice points <= m, and the
-    target is the horizontal block at supp m.  An image block that
-    reaches its cap C(|supp m|, k) is the whole target there (a larger
-    image would have failed the horizontality check), and so is the
-    image at every later point of the same support that dominates it,
-    which therefore takes the cap without a `block_span`
+    is spanned by the wedge generators at lattice points <= m, lifted
+    to m by `pieces.lift`, and the target is the horizontal block at
+    supp m.  An image block that reaches its cap C(|supp m|, k) is the
+    whole target there (a larger image would have failed the
+    horizontality check), and so is the image at every later point of
+    the same support that dominates it, which therefore stays closed:
+    it takes the cap and no generator is lifted to it
     (`pieces.Saturation`).
     """
     if grading is None:
@@ -184,39 +185,34 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
     if basis is None:
         basis = monoid_basis(grading, bound)
     image = pullback_image(action, k, bound, basis=basis, grading=grading)
-    w0 = zero_weight(action)
     ncols = comb(action.n, k)
-    gens = image.generator_blocks
+    gens = lift_generators(image.generator_blocks)
     torus = torus_rows(action)
     rows = []
     witness = None
     witness_degrees = []
     targets = {}
-    capped = Saturation()
+    capped = Saturation(grading.guard)
     for d in range(bound + 1):
         tdim = idim = 0
         short = []  # blocks where the image misses part of the target
-        # generators are sorted by degree; later ones reach no block here
-        usable = gens[: bisect_right(image.generator_degrees, d)]
-        for m, s in block_points(grading, k, d, w0):
+        todo = []
+        for m, s, key in zero_blocks(grading, k, d):
             if s not in targets:
                 targets[s] = horizontal_block(action.n, k, s, torus)
             target = targets[s]
             tdim += len(target)
-            if capped.covers(m, s):
+            if capped.covers(key, s):
                 idim += len(target)
-                continue
+            else:
+                todo.append((m, s, key, target))
+        lifted = lift(grading, gens, d, [key for _, _, key, _ in todo])
+        for m, s, key, target in todo:
             full = comb(len(s), k)
-            ech = block_span(usable, m, ncols, full)
-            if ech.rank > len(target):
-                raise InternalCheckError(
-                    f"image dimension {ech.rank} exceeds target dimension "
-                    f"{len(target)} in degree {d} at lattice point {m}; the "
-                    "image is not horizontal-invariant"
-                )
+            ech = _image_block(m, d, lifted[key], ncols, full, target)
             idim += ech.rank
             if ech.rank == full:
-                capped.record(m, s)
+                capped.record(key, s)
             elif ech.rank < len(target):
                 short.append((m, target, ech.rows))
         coker = tdim - idim
@@ -252,6 +248,19 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
         cert,
         tuple(notes),
     )
+
+
+def _image_block(m, d, vectors, ncols, full, target):
+    """The image block at m of degree d, spanned by the lifted wedge
+    generators; it must fit in the horizontal target there."""
+    ech = span(vectors, ncols, full)
+    if ech.rank > len(target):
+        raise InternalCheckError(
+            f"image dimension {ech.rank} exceeds target dimension "
+            f"{len(target)} in degree {d} at lattice point {m}; the "
+            "image is not horizontal-invariant"
+        )
+    return ech
 
 
 def _cokernel_witness(n, k, blocks):

@@ -10,12 +10,14 @@ to check the block routes against: they read piece bases from
 force in their own tests.  Likewise `unsaturated_form_generators` and
 `unsaturated_series_of` are the engine's former block sweeps, which
 span every block from scratch and read their points off
-`Grading.buckets`.
+`Grading.buckets`, and `block_span` is the engine's former per-point
+scan over every generator, which `pieces.lift` replaced; they reduce
+with `Echelon`.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
+from operator import le, mul
 
 from hypothesis import strategies as st
 
@@ -416,6 +418,29 @@ def piecewide_homology(action, weight, degree, restrict, torus_index):
     return dims, homology
 
 
+def dominated(gens, m):
+    """The vectors of the block vectors (point, vector) in `gens` whose
+    point is <= m componentwise, in order: a scan over every generator."""
+    return [vec for point, vec in gens if all(map(le, point, m))]
+
+
+def block_span(gens, m, ncols, full):
+    """Echelon of the block vectors (point, vector) in `gens` whose point
+    is <= m componentwise: the block at m of the module they generate.
+
+    Multiplying by x^(m - point) moves a block vector to block m without
+    changing its coordinates.  Insertion stops once the rank is `full`.
+    """
+    from invforms.linalg import Echelon
+
+    ech = Echelon(ncols)
+    for vec in dominated(gens, m):
+        if ech.rank == full:
+            break
+        ech.insert(vec)
+    return ech
+
+
 def unsaturated_form_generators(action, k, horizontal, bound):
     """(generator blocks, generator degrees) of the invariant k-form
     module, each block spanned from scratch: a candidate of the
@@ -426,7 +451,7 @@ def unsaturated_form_generators(action, k, horizontal, bound):
 
     from invforms.action import zero_weight
     from invforms.euler import horizontal_block, torus_rows
-    from invforms.pieces import Grading, block_key, block_span, support
+    from invforms.pieces import Grading, block_key, support
 
     n = action.n
     grading = Grading(action)
@@ -460,7 +485,7 @@ def unsaturated_series_of(action, k, generator_blocks, truncation):
     from math import comb
 
     from invforms.action import zero_weight
-    from invforms.pieces import Grading, block_span, support
+    from invforms.pieces import Grading, support
 
     grading = Grading(action)
     w0 = zero_weight(action)

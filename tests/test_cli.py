@@ -172,6 +172,26 @@ def test_corpus_empty_dir(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_error_names_the_spec(tmp_path, capsys, jobs):
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    write(cdir / "a1.json", A1)
+    bad = cdir / "bad.json"
+    write(bad, {"n": 2, "finite_orders": [0], "weight_matrix": [[1, 1]]})
+    assert run(["corpus", str(cdir), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: finite order m_1 = 0 must be at least 2" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_corpus_rejects_non_positive_jobs(corpus_dir, capsys, jobs):
+    assert run(["corpus", str(corpus_dir), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert f"--jobs must be at least 1, got {jobs}" in captured.err
+    assert captured.out == ""
+
+
 def test_corpus_inconclusive_instance(tmp_path, capsys):
     cdir = tmp_path / "corpus"
     cdir.mkdir()

@@ -1,27 +1,39 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+from operator import add, le
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from invforms.action import Weight, load_action, make_action, zero_weight
+from invforms.errors import ResourceLimitError
+from invforms.invariants import invariant_form_generators
 from invforms.pieces import (
+    KEY_WIDTH,
     Grading,
     block_form,
-    block_span,
     exterior_basis,
+    lift,
+    lift_generators,
     monomials_of_degree,
     monomials_with_weight,
+    pack,
     piece_keys,
+    span,
     support,
+    zero_blocks,
 )
 from invforms.forms import PolyForm
 from invforms.poly import Polynomial
+from invforms.pullback import pullback_image
 from oracles import (
     actions,
+    block_span,
     brute_monomials_by_weight,
     brute_pieces,
     brute_weight0_monomials,
+    dominated,
     frac_rank,
 )
 
@@ -163,3 +175,56 @@ def test_block_span_matches_polynomial_products(data):
             products.append({(I, exps): c for I, exps, c in prod.terms()})
     keys = sorted(set().union(*products))
     assert got == frac_rank([[p.get(key, 0) for key in keys] for p in products])
+
+
+# -- packed keys and the lift ---------------------------------------------
+
+
+def test_packed_keys_agree_with_tuples():
+    top = (1 << (KEY_WIDTH - 1)) - 1  # the largest coordinate a field holds
+    act = make_action(2, torus_rank=1, weight_matrix=[[1, 0]])
+    grading = Grading(act)
+    guard = grading.guard
+    points = list(product((0, 1, top - 1, top), repeat=2))
+    for p, m in product(points, repeat=2):
+        below = ((pack(m) | guard) - pack(p)) & guard == guard
+        assert below == all(map(le, p, m))
+        total = tuple(map(add, p, m))
+        if max(total) <= top:
+            assert pack(p) + pack(m) == pack(total)
+    # the weight-zero points x_1^d: the top degree fills the top field
+    assert grading.weight_zero(top) == [((0, top), (1,))]
+    assert grading.weight_zero_keys(top) == [pack((0, top))]
+    with pytest.raises(ResourceLimitError, match="packed"):
+        grading.weight_zero(top + 1)
+
+
+def _lift_matches_scan(act, k, bound):
+    """At every block point of degree <= bound, the vectors `lift` hands
+    the point are those a scan over every generator keeps, in order."""
+    grading = Grading(act)
+    families = [
+        pullback_image(act, k, bound, grading=grading).generator_blocks,
+        invariant_form_generators(act, k, True, bound, grading).generator_blocks,
+    ]
+    ncols = comb(act.n, k)
+    for gens in families:
+        packed = lift_generators(gens)
+        for d in range(bound + 1):
+            points = zero_blocks(grading, k, d)
+            lifted = lift(grading, packed, d, [key for _, _, key in points])
+            for m, s, key in points:
+                assert lifted[key] == dominated(gens, m)
+                full = comb(len(s), k)
+                got = span(lifted[key], ncols, full)
+                assert got.rows == block_span(gens, m, ncols, full).rows
+
+
+@given(actions(), st.integers(0, 4))
+@example(make_action(3, finite_orders=[3], weight_matrix=[[1, 1, 1]]), 1)
+@example(
+    make_action(4, torus_rank=2, weight_matrix=[[1, -1, 0, 1], [0, 1, -1, -1]]), 2
+)
+def test_lift_matches_the_generator_scan(act, k):
+    if k <= act.n:
+        _lift_matches_scan(act, k, 6)

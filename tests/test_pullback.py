@@ -216,13 +216,13 @@ def test_non_horizontal_image_fails_the_block_check(monkeypatch, corpus_dir):
         )
 
     spanned = []
-    block_span = invforms.pullback.block_span
+    image_block = invforms.pullback._image_block
 
-    def recorded(gens, m, ncols, full):
+    def recorded(m, *args):
         spanned.append(m)
-        return block_span(gens, m, ncols, full)
+        return image_block(m, *args)
 
-    monkeypatch.setattr(invforms.pullback, "block_span", recorded)
+    monkeypatch.setattr(invforms.pullback, "_image_block", recorded)
     assert surjectivity_check(act, 1, 6).verdict == "surjective"
     assert (0, 0, 2) in spanned and (0, 0, 4) not in spanned
     spanned.clear()

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import assume, example, given
 
 from invforms.action import action_vector, make_action
 from invforms.errors import ResourceLimitError, UnsupportedRouteError
+from invforms.invariants import certified_basis, quotient_dimension
+from invforms.pieces import Grading
+from invforms.pullback import target_generator_bound
 from invforms.smoothness import (
     isolated_singularity_certificate,
     monoid_smooth,
@@ -9,6 +13,7 @@ from invforms.smoothness import (
     shephard_todd_smooth,
     smoothness_verdict,
 )
+from oracles import actions
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 Z2R = make_action(2, finite_orders=[2], weight_matrix=[[1, 0]])
@@ -111,6 +116,34 @@ def test_smoothness_verdict_examples():
     assert v.shephard_todd == "not_applicable"
     assert v.surjectivity == ((1, "surjective"),)
     assert v.agreement
+
+
+@given(actions())
+# once stopped by a non-canonical hnf_rows in the monoid route
+@example(make_action(4, torus_rank=1, weight_matrix=[[-3, 1, -1, -3]]))
+@example(make_action(4, torus_rank=1, weight_matrix=[[3, -3, 3, 2]]))
+def test_certified_routes_agree(act):
+    grading = Grading(act)
+    basis = certified_basis(grading)
+    dim_y = quotient_dimension(act, grading)
+    # the least bound at which the monoid and every surjectivity route
+    # certify their verdicts
+    bound = max(
+        [grading.certificate_bound(), 1]
+        + [target_generator_bound(act, k, basis) for k in range(1, dim_y + 1)]
+    )
+    # larger bounds take seconds
+    assume(bound <= 24)
+    v = smoothness_verdict(act, bound, grading=grading)
+    assert v.consolidated in ("smooth", "singular")
+    assert v.agreement
+    claim = v.consolidated == "smooth"
+    assert (v.monoid == "smooth") == claim
+    if v.shephard_todd != "not_applicable":
+        assert (v.shephard_todd == "smooth") == claim
+    verdicts = [verdict for _, verdict in v.surjectivity]
+    assert "inconclusive" not in verdicts
+    assert all(verdict == "surjective" for verdict in verdicts) == claim
 
 
 def test_smoothness_verdict_inconclusive_route():
