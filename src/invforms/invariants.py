@@ -23,7 +23,6 @@ from invforms.pieces import (
     lift,
     lift_generators,
     span,
-    zero_blocks,
 )
 
 
@@ -189,7 +188,7 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
     for d in range(k, bound + 1):
         todo = [
             (m, s, key)
-            for m, s, key in zero_blocks(grading, k, d)
+            for m, s, key in grading.zero_blocks(k, d)
             if not capped.covers(key, s)
         ]
         # every generator so far has degree below d
@@ -252,7 +251,7 @@ def hilbert_series_of(obj, action, truncation, grading=None):
     for d in range(truncation + 1):
         dim = 0
         todo = []
-        for m, s, key in zero_blocks(grading, k, d):
+        for m, s, key in grading.zero_blocks(k, d):
             if capped.covers(key, s):
                 dim += comb(len(s), k)
             else:

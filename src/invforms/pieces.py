@@ -102,25 +102,35 @@ class Grading:
         self._certificate = None
         self._buckets = {}
         self._weight_zero = {}
+        self._zero_blocks = {}
 
     def weight_zero(self, d):
         """[(m, supp m)] for the weight-zero exponents m of degree d,
         ascending; the same points as `buckets(d)` at weight zero."""
-        return self._zero(d)[0]
+        return (self._weight_zero.get(d) or self._enumerate(d))[0]
 
     def weight_zero_keys(self, d):
         """The packed keys of `weight_zero(d)`, in the same order."""
-        return self._zero(d)[1]
+        return (self._weight_zero.get(d) or self._enumerate(d))[1]
 
-    def _zero(self, d):
-        got = self._weight_zero.get(d)
+    def zero_blocks(self, k, d):
+        """[(m, supp m, packed key)] for the weight-zero points of degree
+        d with a nonzero block of k-forms (|supp m| >= k), ascending."""
+        got = self._zero_blocks.get((k, d))
         if got is None:
-            if d >= 1 << (KEY_WIDTH - 1):
-                raise ResourceLimitError(
-                    f"degree {d} does not fit a {KEY_WIDTH}-bit packed "
-                    f"coordinate; degrees stop at {(1 << (KEY_WIDTH - 1)) - 1}"
-                )
-            got = self._weight_zero[d] = weight_zero_points(self.action, d)
+            points = zip(self.weight_zero(d), self.weight_zero_keys(d))
+            got = self._zero_blocks[k, d] = [
+                (m, s, key) for (m, s), key in points if len(s) >= k
+            ]
+        return got
+
+    def _enumerate(self, d):
+        if d >= 1 << (KEY_WIDTH - 1):
+            raise ResourceLimitError(
+                f"degree {d} does not fit a {KEY_WIDTH}-bit packed "
+                f"coordinate; degrees stop at {(1 << (KEY_WIDTH - 1)) - 1}"
+            )
+        got = self._weight_zero[d] = weight_zero_points(self.action, d)
         return got
 
     def buckets(self, d):
@@ -302,14 +312,6 @@ def block_points(grading, k, degree, weight):
     return [p for p in points if len(p[1]) >= k]
 
 
-def zero_blocks(grading, k, degree):
-    """(m, supp m, packed key) for the weight-zero points of the degree
-    with a nonzero block of k-forms (|supp m| >= k), ascending."""
-    points = grading.weight_zero(degree)
-    keys = grading.weight_zero_keys(degree)
-    return [(m, s, key) for (m, s), key in zip(points, keys) if len(s) >= k]
-
-
 class Saturation:
     """Packed keys of the points whose block reached its cap, by support
     (see the module docstring); one per module and form degree."""
@@ -321,12 +323,12 @@ class Saturation:
     def covers(self, key, supp):
         """Whether the point with packed key `key` dominates a recorded
         point of support `supp`."""
-        points = self._capped.get(supp)
-        if points is None:
-            return False
         guard = self._guard
         top = key | guard
-        return any((top - q) & guard == guard for q in points)
+        for q in self._capped.get(supp, ()):
+            if (top - q) & guard == guard:
+                return True
+        return False
 
     def record(self, key, supp):
         self._capped.setdefault(supp, []).append(key)
@@ -334,21 +336,22 @@ class Saturation:
 
 def lift_generators(blocks):
     """(packed key, degree, vector) for each block generator (m, vector),
-    in order: the generators as `lift` reads them."""
+    in order: the generators as `lift` reads them, which must ascend by
+    degree."""
     return [(pack(m), sum(m), vec) for m, vec in blocks]
 
 
 def lift(grading, gens, d, keys):
     """{key: vectors} for the weight-zero points of degree d with the
     given packed keys: the vector of each generator (packed key, degree,
-    block vector) in `gens` is appended, in order, at every such point
-    that dominates it (see the module docstring)."""
+    block vector) in `gens`, ascending by degree, is appended, in order,
+    at every such point that dominates it (see the module docstring)."""
     lifted = {key: [] for key in keys}
     if not lifted:
         return lifted
     for p, deg, vec in gens:
         if deg > d:
-            continue
+            break
         for q in grading.weight_zero_keys(d - deg):
             got = lifted.get(p + q)
             if got is not None:

@@ -26,7 +26,6 @@ from invforms.pieces import (
     lift,
     lift_generators,
     span,
-    zero_blocks,
 )
 
 
@@ -197,7 +196,7 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
         tdim = idim = 0
         short = []  # blocks where the image misses part of the target
         todo = []
-        for m, s, key in zero_blocks(grading, k, d):
+        for m, s, key in grading.zero_blocks(k, d):
             if s not in targets:
                 targets[s] = horizontal_block(action.n, k, s, torus)
             target = targets[s]

@@ -22,7 +22,6 @@ from invforms.pieces import (
     piece_keys,
     span,
     support,
-    zero_blocks,
 )
 from invforms.forms import PolyForm
 from invforms.poly import Polynomial
@@ -211,7 +210,7 @@ def _lift_matches_scan(act, k, bound):
     for gens in families:
         packed = lift_generators(gens)
         for d in range(bound + 1):
-            points = zero_blocks(grading, k, d)
+            points = grading.zero_blocks(k, d)
             lifted = lift(grading, packed, d, [key for _, _, key in points])
             for m, s, key in points:
                 assert lifted[key] == dominated(gens, m)
