@@ -101,6 +101,7 @@ class Grading:
         self.guard = pack((1 << (KEY_WIDTH - 1),) * action.n)
         self._certificate = None
         self._buckets = {}
+        self._points = None
         self._weight_zero = {}
         self._zero_blocks = {}
 
@@ -130,7 +131,9 @@ class Grading:
                 f"degree {d} does not fit a {KEY_WIDTH}-bit packed "
                 f"coordinate; degrees stop at {(1 << (KEY_WIDTH - 1)) - 1}"
             )
-        got = self._weight_zero[d] = weight_zero_points(self.action, d)
+        if self._points is None:
+            self._points = weight_zero_enumerator(self.action)
+        got = self._weight_zero[d] = self._points(d)
         return got
 
     def buckets(self, d):
@@ -172,20 +175,16 @@ def pack(m):
     return sum(x << (KEY_WIDTH * i) for i, x in enumerate(m))
 
 
-def weight_zero_points(action, d):
-    """([(m, supp m)], [packed key of m]) for the weight-zero exponent
-    vectors m of degree d, ascending lexicographic (see the module
-    docstring)."""
+def weight_zero_enumerator(action):
+    """The function d -> ([(m, supp m)], [packed key of m]) over the
+    weight-zero exponent vectors m of degree d, ascending lexicographic
+    (see the module docstring).  What depends only on the action is
+    worked out here, once."""
     n = action.n
     torus = [action.torus_row(j) for j in range(action.torus_rank)]
+    signs = [(min(row), max(row)) for row in torus]
     orders = action.finite_orders
     finite = [action.finite_row(j) for j in range(len(orders))]
-    if d < 0 or any(d * min(row) > 0 or d * max(row) < 0 for row in torus):
-        return [], []
-    if n == 1:
-        if any(d * row[0] % m for row, m in zip(finite, orders)):
-            return [], []
-        return [((d,), (0,) if d else ())], [d]
     last = n - 1
     # per coordinate i < last and torus row: (entry at i, least and
     # largest entry after i), and the columns at i
@@ -197,54 +196,64 @@ def weight_zero_points(action, d):
     fcols = [[row[i] for row in finite] for i in range(last)]
     tail = [(row[last - 1], row[last], m) for row, m in zip(finite, orders)]
     top = KEY_WIDTH * last
-    out = []
-    keys = []
 
-    def walk(i, r, sums, residues, prefix, supp, key):
-        lo, hi = 0, r
-        for (w, least, most), p in zip(ranges[i], sums):
-            # the degree a at i must keep r' least <= -(p + a w) <= r' most
-            # for r' = r - a, linear in a on both sides
-            c, b = w - least, -(p + r * least)
-            if c > 0:
-                hi = min(hi, b // c)
-            elif c < 0:
-                lo = max(lo, -(-b // c))
-            elif b < 0:
+    def points(d):
+        if d < 0 or any(d * least > 0 or d * most < 0 for least, most in signs):
+            return [], []
+        if n == 1:
+            if any(d * row[0] % m for row, m in zip(finite, orders)):
+                return [], []
+            return [((d,), (0,) if d else ())], [d]
+        out = []
+        keys = []
+
+        def walk(i, r, sums, residues, prefix, supp, key):
+            lo, hi = 0, r
+            for (w, least, most), p in zip(ranges[i], sums):
+                # the degree a at i must keep r' least <= -(p + a w) <= r' most
+                # for r' = r - a, linear in a on both sides
+                c, b = w - least, -(p + r * least)
+                if c > 0:
+                    hi = min(hi, b // c)
+                elif c < 0:
+                    lo = max(lo, -(-b // c))
+                elif b < 0:
+                    return
+                c, b = w - most, -(p + r * most)
+                if c > 0:
+                    lo = max(lo, -(-b // c))
+                elif c < 0:
+                    hi = min(hi, b // c)
+                elif b > 0:
+                    return
+            if i < last - 1:
+                for a in range(lo, hi + 1):
+                    walk(
+                        i + 1,
+                        r - a,
+                        [p + a * w for p, w in zip(sums, cols[i])],
+                        [f + a * w for f, w in zip(residues, fcols[i])],
+                        prefix + (a,),
+                        supp + (i,) if a else supp,
+                        key + (a << (KEY_WIDTH * i)),
+                    )
                 return
-            c, b = w - most, -(p + r * most)
-            if c > 0:
-                lo = max(lo, -(-b // c))
-            elif c < 0:
-                hi = min(hi, b // c)
-            elif b > 0:
-                return
-        if i < last - 1:
+            # x_last takes the rest; at i = last - 1 the least and largest
+            # entries are both row[last], so the torus sums vanish
             for a in range(lo, hi + 1):
-                walk(
-                    i + 1,
-                    r - a,
-                    [p + a * w for p, w in zip(sums, cols[i])],
-                    [f + a * w for f, w in zip(residues, fcols[i])],
-                    prefix + (a,),
-                    supp + (i,) if a else supp,
-                    key + (a << (KEY_WIDTH * i)),
-                )
-            return
-        # x_last takes the rest; at i = last - 1 the least and largest
-        # entries are both row[last], so the torus sums vanish
-        for a in range(lo, hi + 1):
-            rest = r - a
-            for f, (w, v, m) in zip(residues, tail):
-                if (f + a * w + rest * v) % m:
-                    break
-            else:
-                s = supp + (i,) if a else supp
-                out.append((prefix + (a, rest), s + (last,) if rest else s))
-                keys.append(key + (a << (KEY_WIDTH * i)) + (rest << top))
+                rest = r - a
+                for f, (w, v, m) in zip(residues, tail):
+                    if (f + a * w + rest * v) % m:
+                        break
+                else:
+                    s = supp + (i,) if a else supp
+                    out.append((prefix + (a, rest), s + (last,) if rest else s))
+                    keys.append(key + (a << (KEY_WIDTH * i)) + (rest << top))
 
-    walk(0, d, [0] * len(torus), [0] * len(finite), (), (), 0)
-    return out, keys
+        walk(0, d, [0] * len(torus), [0] * len(finite), (), (), 0)
+        return out, keys
+
+    return points
 
 
 # No engine path reads whole pieces or monomial lists: `piece_keys`,
