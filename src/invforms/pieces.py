@@ -90,8 +90,10 @@ KEY_WIDTH = 16
 class Grading:
     """Monomials of one action by degree and weight, for one call.
 
-    It also keeps the call's certificate bound and, in `monoid`, its
-    Hilbert-basis scan (see `invariants.monoid_basis`).
+    Weight-zero points come with their packed keys and, per form
+    degree, as the list of points with a nonzero block.  It also keeps
+    the call's certificate bound and, in `monoid`, its Hilbert-basis
+    scan (see `invariants.monoid_basis`).
     """
 
     def __init__(self, action):
