@@ -8,22 +8,14 @@ elements not reachable from lower degrees.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from operator import itemgetter
 
 from invforms.cones import span_dim
 from invforms.errors import PreconditionError
 from invforms.euler import horizontal_block, torus_rows
-from invforms.pieces import (
-    Grading,
-    Saturation,
-    block_form,
-    block_key,
-    lift,
-    lift_generators,
-    span,
-)
+from invforms.pieces import BlockModule, Grading, block_form, block_key
 
 
 @dataclass(frozen=True)
@@ -167,12 +159,12 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
     canonical block basis and a candidate is recorded exactly when it
     is not generated from lower degrees (graded Nakayama); what lower
     degrees generate at m is spanned by the generators lifted to m
-    (`pieces.lift`).  Generators of one degree are listed in the piece
-    order of their free columns.
+    (`pieces.BlockModule`).  Generators of one degree are listed in the
+    piece order of their free columns.
 
     Once a block is swept it holds its whole canonical basis, its cap,
     so a later point that dominates it with the same support finds
-    nothing new and is skipped (`pieces.Saturation`).
+    nothing new and is saturated.
     """
     if bound < k:
         raise PreconditionError(f"bound {bound} below form degree {k}")
@@ -180,31 +172,22 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
         grading = Grading(action)
     n = action.n
     rows = torus_rows(action) if horizontal else ()
-    bases = {}
-    capped = Saturation(grading.guard)
+    basis_at = cache(lambda s: horizontal_block(n, k, s, rows))
+    module = BlockModule(grading, k, lambda s: len(basis_at(s)))
     blocks = []
     degrees = []
-    gens = []  # (packed key, degree, block vector) of `blocks`
     for d in range(k, bound + 1):
-        todo = [
-            (m, s, key)
-            for m, s, key in grading.zero_blocks(k, d)
-            if not capped.covers(key, s)
-        ]
         # every generator so far has degree below d
-        lifted = lift(grading, gens, d, [key for _, _, key in todo])
         found = []
-        for m, s, key in todo:
-            if s not in bases:
-                bases[s] = horizontal_block(n, k, s, rows)
-            ech = span(lifted[key], comb(n, k), len(bases[s]))
-            for v in bases[s]:
-                if ech.insert(v) is not None:
-                    found.append((block_key(n, k, m, v), m, key, v))
-            capped.record(key, s)
+        for m, s, ech in module.blocks(d):
+            if ech is not None:
+                for v in basis_at(s):
+                    if ech.insert(v) is not None:
+                        found.append((block_key(n, k, m, v), m, v))
         found.sort(key=itemgetter(0))
-        blocks.extend((m, v) for _, m, _, v in found)
-        gens.extend((key, d, v) for _, _, key, v in found)
+        for _, m, v in found:
+            module.add(m, v)
+            blocks.append((m, v))
         degrees.extend(d for _ in found)
     # monoid_basis(grading, max(bound, 1)).complete, without a monoid scan
     complete = max(bound, 1) >= grading.certificate_bound()
@@ -220,48 +203,17 @@ def invariant_ring_series(action, truncation, grading=None):
     )
 
 
-def hilbert_series_of(obj, action, truncation, grading=None):
-    """Per-degree weight-zero dimensions of the module spanned by `obj`.
-
-    A MonoidBasis spans the subring generated by its monomials (closure
-    under sums); a GradedSubmodule spans its invariant-ring span, whose
-    block at m is spanned by the generators lifted to m (`pieces.lift`)
-    and whose blocks saturate up the monoid (`pieces.Saturation`).
-    """
-    if isinstance(obj, MonoidBasis):
-        reach = [set() for _ in range(truncation + 1)]
-        reach[0].add((0,) * action.n)
-        for d in range(1, truncation + 1):
-            seen = reach[d]
-            for g in obj.generators:
-                dg = sum(g)
-                if dg > d:
-                    continue
-                for s in reach[d - dg]:
-                    seen.add(tuple(a + b for a, b in zip(s, g)))
-        return HilbertSeries(tuple(len(r) for r in reach))
-
+def hilbert_series_of(module, action, truncation, grading=None):
+    """Per-degree weight-zero dimensions of the invariant-ring span of
+    a GradedSubmodule, block by block (`pieces.BlockModule`)."""
     if grading is None:
         grading = Grading(action)
-    k = obj.form_degree
-    gens = lift_generators(obj.generator_blocks)
-    ncols = comb(action.n, k)
-    capped = Saturation(grading.guard)
-    coeffs = []
-    for d in range(truncation + 1):
-        dim = 0
-        todo = []
-        for m, s, key in grading.zero_blocks(k, d):
-            if capped.covers(key, s):
-                dim += comb(len(s), k)
-            else:
-                todo.append((s, key))
-        lifted = lift(grading, gens, d, [key for _, key in todo])
-        for s, key in todo:
-            full = comb(len(s), k)
-            rank = span(lifted[key], ncols, full).rank
-            if rank == full:
-                capped.record(key, s)
-            dim += rank
-        coeffs.append(dim)
-    return HilbertSeries(tuple(coeffs))
+    k = module.form_degree
+    cap = lambda s: comb(len(s), k)
+    sweep = BlockModule(grading, k, cap, module.generator_blocks)
+    return HilbertSeries(
+        tuple(
+            sum(cap(s) if ech is None else ech.rank for _, s, ech in sweep.blocks(d))
+            for d in range(truncation + 1)
+        )
+    )

@@ -52,29 +52,33 @@ m_i >= p_i.  Monoid addition and domination are one integer operation.
 
 Blocks are lifted up the monoid.  The block at m of a module generated
 by block vectors at points p is spanned by the generators with p <= m,
-moved to m unchanged.  Generators sit at weight-zero points, and
-weight is additive, so m - p >= 0 has weight zero exactly when m
-does: the weight-zero points of degree d that dominate p are exactly
-p + q for q in weight_zero(d - |p|).  `lift` adds the keys of those q
-to the key of each generator, in generator order, and so hands every
-point the list of vectors that a scan over all generators would keep
-for it, in the same order; `span` reduces a list up to the block's
-cap.
+moved to m unchanged: multiplying by x^(m - p) keeps the coordinates
+of a block vector.  Generators sit at weight-zero points, and weight
+is additive, so m - p >= 0 has weight zero exactly when m does: the
+weight-zero points of degree d that dominate p are exactly p + q for
+q in weight_zero(d - |p|).  A `BlockModule` holds its generators
+ascending by degree and adds the keys of those q to the key of each,
+in order, so every point gets the vectors that a scan over all
+generators would keep for it, in the same order.  It reduces them
+until the block's rank reaches its cap, the most the block can hold.
 
 Blocks saturate up the monoid.  Let q <= m be weight-zero points with
 supp q = supp m.  Then x^(m - q) is invariant and moves the block at q
 into the block at m, and both lie in Λ^k(Q^(supp m)), so they share
-one cap (the rank `span` stops at).  Once the block at q reaches its
-cap, so has the block at every such m: a `Saturation` records q under
-its support, and a later m that dominates it takes the cap without a
-`span`.  Two distinct points of one degree never dominate each other,
-so the points of degree d that stay open are settled before any of
-them is spanned.  A check on the rank at m, such as the horizontality
-check of `pullback.surjectivity_check`, would see the same numbers as
-it saw at q.
+one cap.  Once the block at q reaches its cap, so has the block at
+every such m: the `BlockModule` records q under its support, and a
+later m that dominates it takes the cap without being spanned.  It
+records q when the next degree is asked for, so a caller may first
+extend the echelon at q, as `invariants.invariant_form_generators`
+does with its basis.  That is exact because two distinct points of
+one degree never dominate each other.  A check on the rank at m, such
+as the horizontality check of `pullback.surjectivity_check`, would
+see the same numbers as it saw at q.
 """
 
 from itertools import combinations
+from math import comb
+from operator import itemgetter
 
 from invforms.action import weight_of_exponents
 from invforms.cones import hilbert_certificate_bound
@@ -168,7 +172,6 @@ def monomials_of_degree(n, d):
     for first in range(d + 1):
         for rest in monomials_of_degree(n - 1, d - first):
             out.append((first,) + rest)
-    out.sort()
     return out
 
 
@@ -323,66 +326,78 @@ def block_points(grading, k, degree, weight):
     return [p for p in points if len(p[1]) >= k]
 
 
-class Saturation:
-    """Packed keys of the points whose block reached its cap, by support
-    (see the module docstring); one per module and form degree."""
+class BlockModule:
+    """The weight-zero blocks of the module of k-forms that block
+    generators (m, vector) span over the invariant ring, lifted and
+    saturated up the monoid one degree at a time (see the module
+    docstring).  `cap(supp m)` is the largest rank of the block at m.
+    """
 
-    def __init__(self, guard):
-        self._guard = guard
-        self._capped = {}
+    def __init__(self, grading, k, cap, blocks=()):
+        self._grading = grading
+        self._k = k
+        self._cap = cap
+        self._ncols = comb(grading.action.n, k)
+        # (packed key, degree, vector), ascending by degree; the sort is
+        # stable, so generators of one degree keep their order
+        self._gens = sorted(
+            ((pack(m), sum(m), vec) for m, vec in blocks), key=itemgetter(1)
+        )
+        self._capped = {}  # support: packed keys of points at their cap
+        self._open = []  # (key, supp, cap, echelon) of the last `blocks`
 
-    def covers(self, key, supp):
-        """Whether the point with packed key `key` dominates a recorded
-        point of support `supp`."""
-        guard = self._guard
-        top = key | guard
-        for q in self._capped.get(supp, ()):
-            if (top - q) & guard == guard:
-                return True
-        return False
+    def add(self, m, vec):
+        """Add a generator at m, of no lower degree than those held."""
+        self._gens.append((pack(m), sum(m), vec))
 
-    def record(self, key, supp):
-        self._capped.setdefault(supp, []).append(key)
-
-
-def lift_generators(blocks):
-    """(packed key, degree, vector) for each block generator (m, vector),
-    in order: the generators as `lift` reads them, which must ascend by
-    degree."""
-    return [(pack(m), sum(m), vec) for m, vec in blocks]
-
-
-def lift(grading, gens, d, keys):
-    """{key: vectors} for the weight-zero points of degree d with the
-    given packed keys: the vector of each generator (packed key, degree,
-    block vector) in `gens`, ascending by degree, is appended, in order,
-    at every such point that dominates it (see the module docstring)."""
-    lifted = {key: [] for key in keys}
-    if not lifted:
-        return lifted
-    for p, deg, vec in gens:
-        if deg > d:
-            break
-        for q in grading.weight_zero_keys(d - deg):
-            got = lifted.get(p + q)
-            if got is not None:
-                got.append(vec)
-    return lifted
-
-
-def span(vectors, ncols, full):
-    """Echelon of the block vectors in order, stopping once the rank is
-    `full`: with the vectors `lift` hands a point, the block there of the
-    module they generate.  Multiplying by x^(m - p) moves a block vector
-    from p to m without changing its coordinates."""
-    ech = Echelon(ncols)
-    rank = 0
-    for vec in vectors:
-        if rank == full:
-            break
-        if ech.insert(vec) is not None:
-            rank += 1
-    return ech
+    def blocks(self, d):
+        """[(m, supp m, echelon or None)] for the points of degree d with
+        a nonzero block, in `Grading.zero_blocks` order.  None marks a
+        saturated point, whose block has rank cap(supp m); an open
+        point gets the echelon of the generators lifted to it, spanned
+        in order until its rank reaches the cap.  Degrees must be asked
+        for in ascending order."""
+        guard = self._grading.guard
+        capped = self._capped
+        for key, s, full, ech in self._open:
+            if ech.rank == full:
+                capped.setdefault(s, []).append(key)
+        self._open = []
+        points = []
+        lifted = {}
+        for m, s, key in self._grading.zero_blocks(self._k, d):
+            top = key | guard
+            for q in capped.get(s, ()):
+                if (top - q) & guard == guard:
+                    points.append((m, s, None))
+                    break
+            else:
+                points.append((m, s, key))
+                lifted[key] = []
+        if lifted:
+            zero_keys = self._grading.weight_zero_keys
+            for p, deg, vec in self._gens:
+                if deg > d:
+                    break
+                for q in zero_keys(d - deg):
+                    got = lifted.get(p + q)
+                    if got is not None:
+                        got.append(vec)
+        out = []
+        for m, s, key in points:
+            ech = None
+            if key is not None:
+                full = self._cap(s)
+                ech = Echelon(self._ncols)
+                rank = 0
+                for vec in lifted[key]:
+                    if rank == full:
+                        break
+                    if ech.insert(vec) is not None:
+                        rank += 1
+                self._open.append((key, s, full, ech))
+            out.append((m, s, ech))
+        return out
 
 
 def block_key(n, k, m, vec):

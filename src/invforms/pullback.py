@@ -9,7 +9,7 @@ the degrees of the target's minimal generators.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb, inf
 from operator import add, mul
@@ -18,15 +18,7 @@ from invforms.errors import InternalCheckError, PreconditionError
 from invforms.euler import horizontal_block, torus_rows
 from invforms.invariants import monoid_basis
 from invforms.linalg import Echelon, echelon_of
-from invforms.pieces import (
-    Grading,
-    Saturation,
-    block_form,
-    block_key,
-    lift,
-    lift_generators,
-    span,
-)
+from invforms.pieces import BlockModule, Grading, block_form, block_key
 
 
 @dataclass(frozen=True)
@@ -169,50 +161,45 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
     target-generator bound has zero cokernel, `not_surjective` (with
     witness degrees and a canonical witness class) as soon as a piece
     has one, and `inconclusive` when certification is out of reach at
-    this bound.  Each piece is computed block by block: the image at m
-    is spanned by the wedge generators at lattice points <= m, lifted
-    to m by `pieces.lift`, and the target is the horizontal block at
-    supp m.  An image block that reaches its cap C(|supp m|, k) is the
-    whole target there (a larger image would have failed the
-    horizontality check), and so is the image at every later point of
-    the same support that dominates it, which therefore stays closed:
-    it takes the cap and no generator is lifted to it
-    (`pieces.Saturation`).
+    this bound.  Each piece is computed block by block
+    (`pieces.BlockModule`): the image at m is spanned by the wedge
+    generators at lattice points <= m, lifted to m, and the target is
+    the horizontal block at supp m.  An image block that reaches its
+    cap C(|supp m|, k) is the whole target there (a larger image would
+    have failed the horizontality check), and so is the image at every
+    later point of the same support that dominates it, which is
+    saturated: it takes the cap and is not spanned.
     """
     if grading is None:
         grading = Grading(action)
     if basis is None:
         basis = monoid_basis(grading, bound)
     image = pullback_image(action, k, bound, basis=basis, grading=grading)
-    ncols = comb(action.n, k)
-    gens = lift_generators(image.generator_blocks)
     torus = torus_rows(action)
+    target_at = cache(lambda s: horizontal_block(action.n, k, s, torus))
+    module = BlockModule(
+        grading, k, lambda s: comb(len(s), k), image.generator_blocks
+    )
     rows = []
     witness = None
     witness_degrees = []
-    targets = {}
-    capped = Saturation(grading.guard)
     for d in range(bound + 1):
         tdim = idim = 0
         short = []  # blocks where the image misses part of the target
-        todo = []
-        for m, s, key in grading.zero_blocks(k, d):
-            if s not in targets:
-                targets[s] = horizontal_block(action.n, k, s, torus)
-            target = targets[s]
+        for m, s, ech in module.blocks(d):
+            target = target_at(s)
             tdim += len(target)
-            if capped.covers(key, s):
+            if ech is None:
                 idim += len(target)
-            else:
-                todo.append((m, s, key, target))
-        lifted = lift(grading, gens, d, [key for _, _, key, _ in todo])
-        for m, s, key, target in todo:
-            full = comb(len(s), k)
-            ech = _image_block(m, d, lifted[key], ncols, full, target)
+                continue
+            if ech.rank > len(target):
+                raise InternalCheckError(
+                    f"image dimension {ech.rank} exceeds target dimension "
+                    f"{len(target)} in degree {d} at lattice point {m}; the "
+                    "image is not horizontal-invariant"
+                )
             idim += ech.rank
-            if ech.rank == full:
-                capped.record(key, s)
-            elif ech.rank < len(target):
+            if ech.rank < len(target):
                 short.append((m, target, ech.rows))
         coker = tdim - idim
         rows.append((d, tdim, idim, coker))
@@ -247,19 +234,6 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
         cert,
         tuple(notes),
     )
-
-
-def _image_block(m, d, vectors, ncols, full, target):
-    """The image block at m of degree d, spanned by the lifted wedge
-    generators; it must fit in the horizontal target there."""
-    ech = span(vectors, ncols, full)
-    if ech.rank > len(target):
-        raise InternalCheckError(
-            f"image dimension {ech.rank} exceeds target dimension "
-            f"{len(target)} in degree {d} at lattice point {m}; the "
-            "image is not horizontal-invariant"
-        )
-    return ech
 
 
 def _cokernel_witness(n, k, blocks):

@@ -22,3 +22,21 @@ def corpus_dir():
 @pytest.fixture(scope="session")
 def data_dir():
     return Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def spanned(monkeypatch):
+    """The points at which any `pieces.BlockModule` spans an echelon, in
+    the order it hands them out; saturated points are left out."""
+    from invforms.pieces import BlockModule
+
+    points = []
+    blocks = BlockModule.blocks
+
+    def recorded(self, d):
+        got = blocks(self, d)
+        points.extend(m for m, _, ech in got if ech is not None)
+        return got
+
+    monkeypatch.setattr(BlockModule, "blocks", recorded)
+    return points

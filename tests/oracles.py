@@ -11,8 +11,11 @@ force in their own tests.  Likewise `unsaturated_form_generators` and
 `unsaturated_series_of` are the engine's former block sweeps, which
 span every block from scratch and read their points off
 `Grading.buckets`, and `block_span` is the engine's former per-point
-scan over every generator, which `pieces.lift` replaced; they reduce
-with `Echelon`.
+scan over every generator, which the lift of `pieces.BlockModule`
+replaced; they reduce with `Echelon`.  `subring_series` is the
+engine's former count of the subring a monoid basis generates, and
+`singular_codimension` reads codim Y_sing off the Hilbert basis, the
+closed form the paper's theorem is checked against.
 """
 
 from fractions import Fraction
@@ -416,6 +419,56 @@ def piecewide_homology(action, weight, degree, restrict, torus_index):
         for k in range(n + 1)
     )
     return dims, homology
+
+
+def subring_series(generators, n, truncation):
+    """Per-degree counts of the monomials that are sums of the exponent
+    vectors `generators`, degrees 0..truncation (closure under sums)."""
+    reach = [set() for _ in range(truncation + 1)]
+    reach[0].add((0,) * n)
+    for d in range(1, truncation + 1):
+        for g in generators:
+            if sum(g) <= d:
+                for s in reach[d - sum(g)]:
+                    reach[d].add(tuple(a + b for a, b in zip(s, g)))
+    return tuple(len(r) for r in reach)
+
+
+def singular_codimension(hilbert_basis, n):
+    """codim Y_sing of Y = Spec Q[M], M the saturated monoid with this
+    Hilbert basis in N^n; None when Y is smooth.
+
+    The cone of M is the orthant cut by a linear space, so its faces F
+    are its meets with {x_Z = 0}, Z a set of coordinates.  Take Z to be
+    every coordinate of the support U of M that vanishes on F.  The
+    torus orbit of F has codimension dim M - dim F, and Y is smooth
+    along it iff the localization {v in gp M : v_Z >= 0} is free.  Its
+    pointed part is the projection of M to Z, a saturated monoid whose
+    Hilbert basis is the componentwise-minimal nonzero projections h|_Z:
+    the orbit is singular iff there are more of them than its rank
+    (Cox–Little–Schenck, Toric Varieties, §1.3 and §3.2).
+    """
+    U = sorted({i for h in hilbert_basis for i, x in enumerate(h) if x})
+    dim = frac_rank(hilbert_basis)
+    best = None
+    seen = set()
+    for r in range(len(U) + 1):
+        for W in combinations(U, r):
+            face = [h for h in hilbert_basis if not any(h[i] for i in W)]
+            Z = tuple(i for i in U if not any(h[i] for h in face))
+            if Z in seen:
+                continue
+            seen.add(Z)
+            codim = dim - frac_rank(face)
+            shadows = {tuple(h[i] for i in Z) for h in hilbert_basis}
+            shadows.discard((0,) * len(Z))
+            minimal = [
+                p for p in shadows
+                if not any(q != p and all(map(le, q, p)) for q in shadows)
+            ]
+            if len(minimal) > codim and (best is None or codim < best):
+                best = codim
+    return best
 
 
 def dominated(gens, m):

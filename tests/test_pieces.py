@@ -11,16 +11,14 @@ from invforms.errors import ResourceLimitError
 from invforms.invariants import invariant_form_generators
 from invforms.pieces import (
     KEY_WIDTH,
+    BlockModule,
     Grading,
     block_form,
     exterior_basis,
-    lift,
-    lift_generators,
     monomials_of_degree,
     monomials_with_weight,
     pack,
     piece_keys,
-    span,
     support,
 )
 from invforms.forms import PolyForm
@@ -32,7 +30,6 @@ from oracles import (
     brute_monomials_by_weight,
     brute_pieces,
     brute_weight0_monomials,
-    dominated,
     frac_rank,
 )
 
@@ -176,7 +173,7 @@ def test_block_span_matches_polynomial_products(data):
     assert got == frac_rank([[p.get(key, 0) for key in keys] for p in products])
 
 
-# -- packed keys and the lift ---------------------------------------------
+# -- packed keys and block modules-----------------------------------------
 
 
 def test_packed_keys_agree_with_tuples():
@@ -198,9 +195,11 @@ def test_packed_keys_agree_with_tuples():
         grading.weight_zero(top + 1)
 
 
-def _lift_matches_scan(act, k, bound):
-    """At every block point of degree <= bound, the vectors `lift` hands
-    the point are those a scan over every generator keeps, in order."""
+def _module_matches_scan(act, k, bound):
+    """At every block point of degree <= bound, in `zero_blocks` order,
+    a BlockModule's echelon at an open point is the one a scan over
+    every generator spans, and at a saturated point that scan reaches
+    the cap."""
     grading = Grading(act)
     families = [
         pullback_image(act, k, bound, grading=grading).generator_blocks,
@@ -208,15 +207,19 @@ def _lift_matches_scan(act, k, bound):
     ]
     ncols = comb(act.n, k)
     for gens in families:
-        packed = lift_generators(gens)
+        module = BlockModule(grading, k, lambda s: comb(len(s), k), gens)
         for d in range(bound + 1):
-            points = grading.zero_blocks(k, d)
-            lifted = lift(grading, packed, d, [key for _, _, key in points])
-            for m, s, key in points:
-                assert lifted[key] == dominated(gens, m)
+            got = module.blocks(d)
+            assert [(m, s) for m, s, _ in got] == [
+                (m, s) for m, s, _ in grading.zero_blocks(k, d)
+            ]
+            for m, s, ech in got:
                 full = comb(len(s), k)
-                got = span(lifted[key], ncols, full)
-                assert got.rows == block_span(gens, m, ncols, full).rows
+                want = block_span(gens, m, ncols, full)
+                if ech is None:
+                    assert want.rank == full
+                else:
+                    assert ech.rows == want.rows
 
 
 @given(actions(), st.integers(0, 4))
@@ -226,4 +229,4 @@ def _lift_matches_scan(act, k, bound):
 )
 def test_lift_matches_the_generator_scan(act, k):
     if k <= act.n:
-        _lift_matches_scan(act, k, 6)
+        _module_matches_scan(act, k, 6)

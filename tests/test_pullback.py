@@ -197,7 +197,7 @@ def test_blocks_match_the_piecewide_route(act, bound):
             assert tdim == closed
 
 
-def test_non_horizontal_image_fails_the_block_check(monkeypatch, corpus_dir):
+def test_non_horizontal_image_fails_the_block_check(monkeypatch, spanned, corpus_dir):
     import invforms.pullback
 
     # torus [1, -1, 0], Z2 [0, 0, 1]: the blocks at (0, 0, 2j) have the
@@ -215,21 +215,15 @@ def test_non_horizontal_image_fails_the_block_check(monkeypatch, corpus_dir):
             generator_degrees=tuple(sum(m) for m, _ in blocks),
         )
 
-    spanned = []
-    image_block = invforms.pullback._image_block
-
-    def recorded(m, *args):
-        spanned.append(m)
-        return image_block(m, *args)
-
-    monkeypatch.setattr(invforms.pullback, "_image_block", recorded)
     assert surjectivity_check(act, 1, 6).verdict == "surjective"
     assert (0, 0, 2) in spanned and (0, 0, 4) not in spanned
     spanned.clear()
     monkeypatch.setattr(invforms.pullback, "pullback_image", with_bad_generator)
     with pytest.raises(InternalCheckError, match=r"degree 4 at lattice point \(1, 1, 2\)"):
         surjectivity_check(act, 1, 6)
-    assert spanned[-1] == (1, 1, 2) and (0, 0, 4) not in spanned
+    # the degree-4 blocks: (0, 0, 4) saturated, (1, 1, 2) spanned and
+    # checked before (2, 2, 0)
+    assert spanned[-2:] == [(1, 1, 2), (2, 2, 0)] and (0, 0, 4) not in spanned
 
 
 def test_target_generator_bound_finite():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, example, given
 
-from invforms.action import action_vector, make_action
+from invforms.action import action_vector, load_action, make_action
 from invforms.errors import ResourceLimitError, UnsupportedRouteError
 from invforms.invariants import certified_basis, quotient_dimension
 from invforms.pieces import Grading
@@ -13,7 +13,7 @@ from invforms.smoothness import (
     shephard_todd_smooth,
     smoothness_verdict,
 )
-from oracles import actions
+from oracles import actions, singular_codimension
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 Z2R = make_action(2, finite_orders=[2], weight_matrix=[[1, 0]])
@@ -144,6 +144,24 @@ def test_certified_routes_agree(act):
     verdicts = [verdict for _, verdict in v.surjectivity]
     assert "inconclusive" not in verdicts
     assert all(verdict == "surjective" for verdict in verdicts) == claim
+    # the paper's theorem: surjective Kähler k-forms force
+    # codim Y_sing > k + 1
+    codim = singular_codimension(basis.generators, act.n)
+    assert (codim is None) == (v.monoid == "smooth")
+    if codim is not None:
+        for k, verdict in v.surjectivity:
+            if verdict == "surjective":
+                assert codim > k + 1, (k, codim)
+        if isolated_singularity_certificate(act, grading) == "isolated":
+            assert codim == dim_y
+
+
+def test_singular_codimension_examples(corpus_dir):
+    want = {"z2_11": 2, "z3_111": 3, "z4_123": 2, "mix_t1z2": None}
+    for name, codim in want.items():
+        act = load_action(corpus_dir / f"{name}.json")
+        basis = certified_basis(Grading(act))
+        assert singular_codimension(basis.generators, act.n) == codim, name
 
 
 def test_smoothness_verdict_inconclusive_route():
