@@ -209,11 +209,15 @@ def hilbert_series_of(module, action, truncation, grading=None):
     if grading is None:
         grading = Grading(action)
     k = module.form_degree
-    cap = lambda s: comb(len(s), k)
-    sweep = BlockModule(grading, k, cap, module.generator_blocks)
+    sweep = BlockModule(
+        grading, k, lambda s: comb(len(s), k), module.generator_blocks
+    )
     return HilbertSeries(
         tuple(
-            sum(cap(s) if ech is None else ech.rank for _, s, ech in sweep.blocks(d))
+            sum(
+                comb(len(s), k) if ech is None else ech.rank
+                for _, s, ech in sweep.blocks(d)
+            )
             for d in range(truncation + 1)
         )
     )

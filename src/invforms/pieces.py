@@ -363,16 +363,18 @@ class BlockModule:
             if ech.rank == full:
                 capped.setdefault(s, []).append(key)
         self._open = []
-        points = []
+        out = []
+        todo = []  # (position in out, m, supp m, key) of the open points
         lifted = {}
         for m, s, key in self._grading.zero_blocks(self._k, d):
             top = key | guard
             for q in capped.get(s, ()):
                 if (top - q) & guard == guard:
-                    points.append((m, s, None))
+                    out.append((m, s, None))
                     break
             else:
-                points.append((m, s, key))
+                todo.append((len(out), m, s, key))
+                out.append(None)
                 lifted[key] = []
         if lifted:
             zero_keys = self._grading.weight_zero_keys
@@ -383,20 +385,17 @@ class BlockModule:
                     got = lifted.get(p + q)
                     if got is not None:
                         got.append(vec)
-        out = []
-        for m, s, key in points:
-            ech = None
-            if key is not None:
-                full = self._cap(s)
-                ech = Echelon(self._ncols)
-                rank = 0
-                for vec in lifted[key]:
-                    if rank == full:
-                        break
-                    if ech.insert(vec) is not None:
-                        rank += 1
-                self._open.append((key, s, full, ech))
-            out.append((m, s, ech))
+        for i, m, s, key in todo:
+            full = self._cap(s)
+            ech = Echelon(self._ncols)
+            rank = 0
+            for vec in lifted[key]:
+                if rank == full:
+                    break
+                if ech.insert(vec) is not None:
+                    rank += 1
+            self._open.append((key, s, full, ech))
+            out[i] = (m, s, ech)
         return out
 
 

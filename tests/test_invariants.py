@@ -125,8 +125,7 @@ def test_series_of_zero_module():
 
 
 def test_series_of_unsorted_generators(corpus_dir):
-    # generators need not ascend by degree; listed backwards they once
-    # gave (0, 0, 0, 0, 0, 9, ...)
+    # generators need not ascend by degree
     act = load_action(corpus_dir / "z5_123.json")
     sub = invariant_form_generators(act, 1, True, 10)
     backwards = replace(
