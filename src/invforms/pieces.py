@@ -67,10 +67,11 @@ supp q = supp m.  Then x^(m - q) is invariant and moves the block at q
 into the block at m, and both lie in Λ^k(Q^(supp m)), so they share
 one cap.  Once the block at q reaches its cap, so has the block at
 every such m: the `BlockModule` records q under its support, and a
-later m that dominates it takes the cap without being spanned.  It
-records q when the next degree is asked for, so a caller may first
-extend the echelon at q, as `invariants.invariant_form_generators`
-does with its basis.  That is exact because two distinct points of
+later m that dominates it takes the cap without being spanned.  A
+block that spanning leaves below its cap is looked at again when the
+next degree is asked for, so a caller may first extend the echelon at
+q, as `invariants.invariant_form_generators` does with its basis.
+Recording within a degree is exact because two distinct points of
 one degree never dominate each other.  A check on the rank at m, such
 as the horizontality check of `pullback.surjectivity_check`, would
 see the same numbers as it saw at q.
@@ -330,13 +331,15 @@ class BlockModule:
     """The weight-zero blocks of the module of k-forms that block
     generators (m, vector) span over the invariant ring, lifted and
     saturated up the monoid one degree at a time (see the module
-    docstring).  `cap(supp m)` is the largest rank of the block at m.
+    docstring).  `cap(supp m)` is the largest rank of the block at m;
+    it is asked once per support.
     """
 
     def __init__(self, grading, k, cap, blocks=()):
         self._grading = grading
         self._k = k
         self._cap = cap
+        self._caps = {}  # support: cap
         self._ncols = comb(grading.action.n, k)
         # (packed key, degree, vector), ascending by degree; the sort is
         # stable, so generators of one degree keep their order
@@ -344,7 +347,9 @@ class BlockModule:
             ((pack(m), sum(m), vec) for m, vec in blocks), key=itemgetter(1)
         )
         self._capped = {}  # support: packed keys of points at their cap
-        self._open = []  # (key, supp, cap, echelon) of the last `blocks`
+        # (key, supp, cap, echelon) of the blocks the last `blocks` left
+        # below their cap, which its caller may extend
+        self._open = []
 
     def add(self, m, vec):
         """Add a generator at m, of no lower degree than those held."""
@@ -385,8 +390,11 @@ class BlockModule:
                     got = lifted.get(p + q)
                     if got is not None:
                         got.append(vec)
+        caps = self._caps
         for i, m, s, key in todo:
-            full = self._cap(s)
+            full = caps.get(s)
+            if full is None:
+                full = caps[s] = self._cap(s)
             ech = Echelon(self._ncols)
             rank = 0
             for vec in lifted[key]:
@@ -394,7 +402,10 @@ class BlockModule:
                     break
                 if ech.insert(vec) is not None:
                     rank += 1
-            self._open.append((key, s, full, ech))
+            if rank == full:
+                capped.setdefault(s, []).append(key)
+            else:
+                self._open.append((key, s, full, ech))
             out[i] = (m, s, ech)
         return out
 
