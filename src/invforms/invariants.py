@@ -214,10 +214,10 @@ def hilbert_series_of(module, action, truncation, grading=None):
     )
     return HilbertSeries(
         tuple(
-            sum(
+            sum([
                 comb(len(s), k) if ech is None else ech.rank
                 for _, s, ech in sweep.blocks(d)
-            )
+            ])
             for d in range(truncation + 1)
         )
     )
