@@ -1,9 +1,11 @@
-"""Stripped corpus reports are pinned by sha256.
+"""Stripped reports are pinned by sha256.
 
 `tests/data/corpus_report_sha256.json` holds, per bound ("default" or
 an integer), the sha256 of `report_to_json(strip_timings(...))` for each
-bundled spec.  A change that alters any report byte fails here.  To
-re-record after an intended change of output, run
+bundled spec.  `tests/data/action_report_sha256.json` holds the same
+hash for a few larger actions outside the corpus, each with its bound.
+A change that alters any report byte fails here.  To re-record after an
+intended change of output, run
 
     PYTHONPATH=src python tests/test_report_hashes.py
 """
@@ -13,21 +15,39 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from invforms.action import load_action
+from invforms.action import action_from_dict, load_action
 from invforms.report import report_to_json, run_analysis, strip_timings
 
-PINNED = Path(__file__).parent / "data" / "corpus_report_sha256.json"
+DATA = Path(__file__).parent / "data"
+PINNED = DATA / "corpus_report_sha256.json"
+PINNED_ACTIONS = DATA / "action_report_sha256.json"
 BOUNDS = ("default", 6)
+# (action, bound): Z3 on n=5 by [1,1,2,2,0] is the benchmark's n5_z3 input
+ACTIONS = (
+    ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 2, 2, 0]]}, 7),
+    ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 1, 2, 2]]}, 8),
+)
+
+
+def report_hash(act, bound):
+    text = report_to_json(strip_timings(run_analysis(act, bound)))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def report_hashes(corpus_dir, bound):
-    out = {}
-    for path in sorted(corpus_dir.glob("*.json")):
-        act = load_action(path)
-        report = run_analysis(act, None if bound == "default" else bound)
-        text = report_to_json(strip_timings(report))
-        out[path.stem] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return out
+    return {
+        path.stem: report_hash(
+            load_action(path), None if bound == "default" else bound
+        )
+        for path in sorted(corpus_dir.glob("*.json"))
+    }
+
+
+def action_hashes():
+    return [
+        {"action": doc, "bound": bound, "sha256": report_hash(action_from_dict(doc), bound)}
+        for doc, bound in ACTIONS
+    ]
 
 
 def test_corpus_reports_match_pinned_hashes(corpus_dir):
@@ -39,7 +59,14 @@ def test_corpus_reports_match_pinned_hashes(corpus_dir):
         assert report_hashes(corpus_dir, bound) == want, bound
 
 
+def test_larger_action_reports_match_pinned_hashes():
+    pinned = json.loads(PINNED_ACTIONS.read_text(encoding="utf-8"))
+    assert len(pinned) == len(ACTIONS)
+    assert action_hashes() == pinned
+
+
 if __name__ == "__main__":
     corpus = Path(resources.files("invforms").joinpath("corpus"))
     table = {str(b): report_hashes(corpus, b) for b in BOUNDS}
     PINNED.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    PINNED_ACTIONS.write_text(json.dumps(action_hashes(), indent=2) + "\n")
