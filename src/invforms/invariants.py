@@ -106,10 +106,13 @@ def certified_basis(grading):
 
 
 def quotient_dimension(action, grading=None):
-    """Krull dimension of the invariant ring (dimension of the monoid span)."""
+    """Krull dimension of the invariant ring (dimension of the monoid
+    span), ranked once per Grading."""
     if grading is None:
         grading = Grading(action)
-    return span_dim(certified_basis(grading).generators, action.n)
+    if grading.dimension is None:
+        grading.dimension = span_dim(certified_basis(grading).generators, action.n)
+    return grading.dimension
 
 
 @dataclass(frozen=True)

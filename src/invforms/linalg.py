@@ -1,9 +1,18 @@
 """Exact rational linear algebra on small dense matrices.
 
 Everything is done fraction-free over the integers: rows of Fractions
-are scaled to primitive integer rows, and elimination keeps entries
-gcd-stripped.  Arithmetic is on Python ints, so entries may grow
-arbitrarily large.
+are scaled to primitive integer rows.  Arithmetic is on Python ints,
+so entries may grow arbitrarily large.
+
+A row is reduced against the echelon rows in one pass, with one content
+division at the end.  Eliminating pivot column p scales the row by the
+pivot entry and subtracts a multiple of that pivot row; both
+multipliers are first cut by their gcd, and the row's content is only
+divided out once every pivot column is cleared.  That gives the same
+row as dividing at every step: the echelon rows are fully reduced, so a
+residual of `row`, a combination a*row + sum b_i*rows_i that is zero in
+every pivot column, has each b_i fixed by a, and the residuals form one
+line.  Its primitive generator with a positive leading entry is unique.
 
 All outputs are canonical: the reduced echelon form of a row space is
 unique, kernels are returned in reduced form with ascending free
@@ -15,50 +24,6 @@ from math import gcd, lcm
 
 # Read by the benchmark's environment stamp; there is one backend.
 BACKEND = "pure"
-
-
-def normalize_row(row):
-    """Divide by the content and make the leading nonzero entry positive."""
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-    if g == 0:
-        return list(row)
-    lead = 0
-    for x in row:
-        if x:
-            lead = x
-            break
-    if lead < 0:
-        g = -g
-    return [x // g for x in row]
-
-
-def combine_rows(a, b, p, q):
-    """Return the row p*a - q*b."""
-    return [p * x - q * y for x, y in zip(a, b)]
-
-
-def reduce_row(row, rows, pivots):
-    """Eliminate `row` against echelon `rows` (pivot columns `pivots`).
-
-    Rows must be sorted by pivot column and each have a positive pivot
-    entry.  The fully reduced row is returned normalized.
-    """
-    cur = list(row)
-    for erow, p in zip(rows, pivots):
-        c = cur[p]
-        if c:
-            lead = erow[p]
-            cur = [lead * x - c * y for x, y in zip(cur, erow)]
-            g = 0
-            for x in cur:
-                if x:
-                    g = gcd(g, x)
-            if g > 1:
-                cur = [x // g for x in cur]
-    return normalize_row(cur)
 
 
 def int_row(row):
@@ -90,34 +55,60 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
-    def residual(self, row):
-        """Fully reduce `row` against the current rows (row: Fractions/ints)."""
-        return reduce_row(int_row(row), self.rows, self.pivots)
+    def _reduce(self, row):
+        """(residual, lead column) of `row` (Fractions/ints): the
+        primitive residual with a positive leading entry, or None when
+        `row` is in the span."""
+        cur = list(row)
+        try:
+            for erow, p in zip(self.rows, self.pivots):
+                c = cur[p]
+                if c:
+                    a = erow[p]
+                    g = gcd(a, c)
+                    if g > 1:
+                        a //= g
+                        c //= g
+                    cur = [a * x - c * y for x, y in zip(cur, erow)]
+            g = gcd(*cur)
+        except TypeError:  # gcd of a Fraction: reduce the row's int scaling
+            return self._reduce(int_row(row))
+        if not g:
+            return None
+        for lead, x in enumerate(cur):
+            if x:
+                break
+        if x < 0:
+            g = -g
+        return (cur if g == 1 else [x // g for x in cur]), lead
 
     def insert(self, row):
         """Add `row` to the span; return its pivot column or None if dependent."""
-        red = self.residual(row)
-        lead = -1
-        for j, x in enumerate(red):
-            if x:
-                lead = j
-                break
-        if lead < 0:
+        got = self._reduce(row)
+        if got is None:
             return None
+        red, lead = got
+        rows = self.rows
         pos = bisect_left(self.pivots, lead)
-        self.rows.insert(pos, red)
+        rows.insert(pos, red)
         self.pivots.insert(pos, lead)
         # Restore full reduction: only rows with earlier pivots can be
-        # nonzero in the new pivot column.
+        # nonzero in the new pivot column.  Their leading entries stay
+        # positive, so dividing out the content keeps them canonical.
+        a = red[lead]
         for i in range(pos):
-            r = self.rows[i]
+            r = rows[i]
             c = r[lead]
             if c:
-                self.rows[i] = normalize_row(combine_rows(r, red, red[lead], c))
+                g = gcd(a, c)
+                s, c = a // g, c // g
+                r = [s * x - c * y for x, y in zip(r, red)]
+                g = gcd(*r)
+                rows[i] = r if g == 1 else [x // g for x in r]
         return lead
 
     def contains(self, row):
-        return not any(self.residual(row))
+        return self._reduce(row) is None
 
     def kernel_basis(self):
         """Primitive integer basis of {v : r . v = 0 for every row r}.

@@ -97,13 +97,15 @@ class Grading:
 
     Weight-zero points come with their packed keys and, per form
     degree, as the list of points with a nonzero block.  It also keeps
-    the call's certificate bound and, in `monoid`, its Hilbert-basis
-    scan (see `invariants.monoid_basis`).
+    the call's certificate bound, in `monoid` its Hilbert-basis scan
+    (see `invariants.monoid_basis`) and in `dimension` the rank of the
+    certified basis (see `invariants.quotient_dimension`).
     """
 
     def __init__(self, action):
         self.action = action
         self.monoid = None
+        self.dimension = None
         # the guard bits of the packed keys (see the module docstring)
         self.guard = pack((1 << (KEY_WIDTH - 1),) * action.n)
         self._certificate = None

@@ -71,8 +71,11 @@ def _wedge_candidates(action, basis, k, *, max_degree=None):
     d(x^g_1) ∧ ... ∧ d(x^g_k) = sum_I det(g_j[i])_(i in I) x^(m - e_I) dx_I
     with m = g_1 + ... + g_k, so the wedge lies in block m (see `pieces`)
     and its block vector is the k x k minors, rows in I order and
-    columns in subset order.  Minors are built one generator at a time:
-    (v ∧ g)_K = sum_r (-1)^(j-r) g[K_r] v_(K minus K_r) for |K| = j + 1.
+    columns in subset order.  Minors are built one generator at a time,
+    scattering only the nonzero entries of g and of the j-minors v:
+    (v ∧ g)_(J ∪ {i}) += (-1)^#{x in J : x > i} g[i] v_J over i in supp g
+    not in J and v_J != 0.  Hilbert-basis vectors are sparse, so this
+    touches far fewer terms than summing every term of every minor.
     The Hilbert basis ascends by degree, so once the next generator,
     taken for each of the k - j remaining slots, overshoots `max_degree`,
     every later one does too.
@@ -80,14 +83,24 @@ def _wedge_candidates(action, basis, k, *, max_degree=None):
     n = action.n
     gens = basis.generators
     degrees = [sum(g) for g in gens]
+    supports = [[(i, x) for i, x in enumerate(g) if x] for g in gens]
     cap = inf if max_degree is None else max_degree
+    # steps[j][p][i]: (position of J ∪ {i} among the (j+1)-subsets, sign)
+    # for J the p-th j-subset, or None when i is in J
     steps = []
     for j in range(k):
-        place = {J: p for p, J in enumerate(combinations(range(n), j))}
+        place = {K: q for q, K in enumerate(combinations(range(n), j + 1))}
         steps.append([
-            [((-1) ** (j - r), i, place[K[:r] + K[r + 1 :]]) for r, i in enumerate(K)]
-            for K in combinations(range(n), j + 1)
+            [
+                None if i in J else (
+                    place[tuple(sorted(J + (i,)))],
+                    (-1) ** sum(x > i for x in J),
+                )
+                for i in range(n)
+            ]
+            for J in combinations(range(n), j)
         ])
+    sizes = [comb(n, j + 1) for j in range(k)]
     out = []
 
     def extend(first, m, vec, j):
@@ -95,13 +108,22 @@ def _wedge_candidates(action, basis, k, *, max_degree=None):
             out.append((m, vec))
             return
         room = cap - sum(m)
+        at_j = steps[j]
         for t in range(first, len(gens) - k + j + 1):
             if (k - j) * degrees[t] > room:
                 break
-            g = gens[t]
-            nxt = [sum(s * g[i] * vec[p] for s, i, p in terms) for terms in steps[j]]
+            supp = supports[t]
+            nxt = [0] * sizes[j]
+            for p, v in enumerate(vec):
+                if v:
+                    at = at_j[p]
+                    for i, x in supp:
+                        hit = at[i]
+                        if hit is not None:
+                            q, sign = hit
+                            nxt[q] += sign * x * v
             if any(nxt):
-                extend(t + 1, tuple(map(add, m, g)), nxt, j + 1)
+                extend(t + 1, tuple(map(add, m, gens[t])), nxt, j + 1)
 
     extend(0, (0,) * n, [1], 0)
     return out
@@ -113,6 +135,9 @@ def pullback_image(action, k, bound, basis=None, grading=None):
 
     A wedge that is a constant-linear combination of earlier wedges at
     its lattice point is dropped; that never shrinks the spanned module.
+    Wedges at m have their minors on the k-subsets of supp m, so once
+    the wedges kept at m span all C(|supp m|, k) of them, later ones
+    are dropped without being reduced.
     All wedges at one lattice point share its degree, so the cap drops
     whole lattice points and keeps the same wedges below it.  Generators
     are listed by total degree, then in subset order.
@@ -125,12 +150,14 @@ def pullback_image(action, k, bound, basis=None, grading=None):
         basis = monoid_basis(grading, bound)
     if k > action.n:
         return PullbackImage(k, (), (), bound, basis.complete)
-    blocks = {}
+    blocks = {}  # m: (echelon, its cap C(|supp m|, k))
     kept = []
     for m, vec in _wedge_candidates(action, basis, k, max_degree=bound):
-        if m not in blocks:
-            blocks[m] = Echelon(len(vec))
-        if blocks[m].insert(vec) is not None:
+        got = blocks.get(m)
+        if got is None:
+            got = blocks[m] = Echelon(len(vec)), comb(len(m) - m.count(0), k)
+        ech, cap = got
+        if ech.rank < cap and ech.insert(vec) is not None:
             kept.append((m, vec))
     kept.sort(key=lambda b: sum(b[0]))
     return PullbackImage(

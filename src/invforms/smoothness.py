@@ -15,7 +15,7 @@ from invforms.action import (
     iter_finite_elements,
     moved_coordinates,
 )
-from invforms.cones import congruence_lattice_basis, same_lattice, span_dim
+from invforms.cones import congruence_lattice_basis, same_lattice
 from invforms.errors import InternalCheckError, UnsupportedRouteError
 from invforms.invariants import analysis_basis, monoid_basis, quotient_dimension
 from invforms.pieces import Grading
@@ -94,8 +94,8 @@ def monoid_smooth(action, bound, grading=None):
     gens = [list(g) for g in basis.generators]
     if not gens:
         return "smooth"
-    rank = span_dim(gens, action.n)
-    free = len(gens) == rank
+    # a complete basis is the certified basis, whose rank is dim Y
+    free = len(gens) == quotient_dimension(action, grading)
     if free:
         # determinant cross-check: independent Hilbert-basis generators
         # must be a lattice basis of the weight kernel on their span

@@ -15,12 +15,18 @@ scan over every generator, which the lift of `pieces.BlockModule`
 replaced; they reduce with `Echelon`.  `subring_series` is the
 engine's former count of the subring a monoid basis generates, and
 `singular_codimension` reads codim Y_sing off the Hilbert basis, the
-closed form the paper's theorem is checked against.
+closed form the paper's theorem is checked against.  `ReferenceEchelon`
+is the engine's former row reduction, which divided out the content
+after every elimination step, and `dense_wedge_candidates` its former
+wedge builder, which summed every term of every minor; the engine's
+one-pass reduction and sparse wedges are checked against them.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
-from operator import le, mul
+from math import gcd, lcm
+from operator import add, le, mul
 
 from hypothesis import strategies as st
 
@@ -49,6 +55,24 @@ def frac_rank(rows):
         if rank == len(mat):
             break
     return rank
+
+
+def frac_det(mat):
+    """Determinant of a square matrix by elimination over Fractions."""
+    mat = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(len(mat)):
+        piv = next((i for i in range(col, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for i in range(col + 1, len(mat)):
+            c = mat[i][col] / mat[col][col]
+            mat[i] = [a - c * b for a, b in zip(mat[i], mat[col])]
+    return det
 
 
 def frac_kernel_dim(rows, ncols):
@@ -551,3 +575,123 @@ def unsaturated_series_of(action, k, generator_blocks, truncation):
         )
         for d in range(truncation + 1)
     )
+
+
+def normalize_row(row):
+    """Divide by the content and make the leading nonzero entry positive."""
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+    if g == 0:
+        return list(row)
+    lead = next(x for x in row if x)
+    if lead < 0:
+        g = -g
+    return [x // g for x in row]
+
+
+def reduce_row(row, rows, pivots):
+    """Eliminate `row` against echelon `rows` (pivot columns `pivots`),
+    dividing out the content after every step; normalized."""
+    cur = list(row)
+    for erow, p in zip(rows, pivots):
+        c = cur[p]
+        if c:
+            lead = erow[p]
+            cur = [lead * x - c * y for x, y in zip(cur, erow)]
+            g = 0
+            for x in cur:
+                if x:
+                    g = gcd(g, x)
+            if g > 1:
+                cur = [x // g for x in cur]
+    return normalize_row(cur)
+
+
+def _int_row(row):
+    den = 1
+    for x in row:
+        den = lcm(den, Fraction(x).denominator)
+    return [int(x * den) for x in row]
+
+
+class ReferenceEchelon:
+    """The engine's former incremental reduced echelon form."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def residual(self, row):
+        return reduce_row(_int_row(row), self.rows, self.pivots)
+
+    def insert(self, row):
+        red = self.residual(row)
+        lead = next((j for j, x in enumerate(red) if x), -1)
+        if lead < 0:
+            return None
+        pos = bisect_left(self.pivots, lead)
+        self.rows.insert(pos, red)
+        self.pivots.insert(pos, lead)
+        for i in range(pos):
+            r = self.rows[i]
+            c = r[lead]
+            if c:
+                self.rows[i] = normalize_row(
+                    [red[lead] * x - c * y for x, y in zip(r, red)]
+                )
+        return lead
+
+    def contains(self, row):
+        return not any(self.residual(row))
+
+    def kernel_basis(self):
+        """One primitive kernel vector per free column, ascending, with a
+        positive free coordinate; solved over Fractions."""
+        basis = []
+        for f in range(self.ncols):
+            if f in self.pivots:
+                continue
+            vec = [Fraction(0)] * self.ncols
+            vec[f] = Fraction(1)
+            for r, p in zip(self.rows, self.pivots):
+                vec[p] = Fraction(-r[f], r[p])
+            vec = _int_row(vec)
+            g = gcd(*vec)
+            basis.append([x // g for x in vec])
+        return basis
+
+
+def dense_wedge_candidates(action, basis, k):
+    """The engine's former `_wedge_candidates`, uncapped: each
+    (j + 1)-minor of v ∧ g summed over every term,
+    (v ∧ g)_K = sum_r (-1)^(j-r) g[K_r] v_(K minus K_r)."""
+    n = action.n
+    gens = basis.generators
+    steps = []
+    for j in range(k):
+        place = {J: p for p, J in enumerate(combinations(range(n), j))}
+        steps.append([
+            [((-1) ** (j - r), i, place[K[:r] + K[r + 1 :]]) for r, i in enumerate(K)]
+            for K in combinations(range(n), j + 1)
+        ])
+    out = []
+
+    def extend(first, m, vec, j):
+        if j == k:
+            out.append((m, vec))
+            return
+        for t in range(first, len(gens) - k + j + 1):
+            g = gens[t]
+            nxt = [sum(s * g[i] * vec[p] for s, i, p in terms) for terms in steps[j]]
+            if any(nxt):
+                extend(t + 1, tuple(map(add, m, g)), nxt, j + 1)
+
+    extend(0, (0,) * n, [1], 0)
+    return out

@@ -272,6 +272,17 @@ def test_one_monoid_scan_per_analysis(monkeypatch, corpus_dir, name, bound):
     assert scans[0][1] == max(bounds["max_degree"], bounds["hilbert_certificate"])
 
 
+@pytest.mark.parametrize("name", ["z3_111", "z2_10", "t_12m3", "mix_t1z2"])
+def test_one_rank_of_the_basis_per_analysis(monkeypatch, corpus_dir, name):
+    import invforms.cones
+    from invforms.report import run_analysis
+
+    ranks = _count_calls(monkeypatch, invforms.cones.span_dim)
+    report = run_analysis(load_action(corpus_dir / f"{name}.json"))
+    assert len(ranks) == 1
+    assert report["smoothness"]["monoid"] != "inconclusive"
+
+
 def test_canonical_comparison_scans_the_monoid_once(monkeypatch, corpus_dir):
     import invforms.invariants
     from invforms.canonical import canonical_comparison

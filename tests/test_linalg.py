@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from invforms.linalg import Echelon, echelon_of, kernel_of_rows, rank_of_rows
-from oracles import frac_kernel_dim, frac_rank
+from oracles import ReferenceEchelon, frac_kernel_dim, frac_rank
 
 
 def random_matrix(rng, nrows, ncols, density=0.7):
@@ -79,3 +81,40 @@ def test_bignum_entries_survive():
     assert ech.rank == 2
     kern = kernel_of_rows([[big, 1], [big, 1]], 2)
     assert kern == [[1, -big]] or kern == [[-1, big]]
+
+
+SMALL = st.integers(-4, 4)
+FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+BIG = st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of small ints, of Fractions, or of ints mixed with entries of
+    at least 2^64 in absolute value; some are combinations of earlier
+    rows, so insertion also meets dependent rows."""
+    ncols = draw(st.integers(0, 8))
+    entry = draw(st.sampled_from([SMALL, FRACTIONS, SMALL | BIG]))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(SMALL, min_size=len(rows), max_size=len(rows)))
+            rows.append(
+                [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+            )
+        else:
+            rows.append(draw(st.lists(SMALL | entry, min_size=ncols, max_size=ncols)))
+    return ncols, rows
+
+
+@given(row_lists())
+def test_one_pass_reduction_matches_the_reference(case):
+    ncols, rows = case
+    ech, ref = Echelon(ncols), ReferenceEchelon(ncols)
+    for row in rows:
+        assert ech.contains(row) == ref.contains(row)
+        assert ech.insert(row) == ref.insert(row)
+        assert ech.rows == ref.rows
+        assert ech.pivots == ref.pivots
+        assert all(type(x) is int for r in ech.rows for x in r)
+    assert ech.kernel_basis() == ref.kernel_basis()

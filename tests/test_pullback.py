@@ -21,6 +21,8 @@ from invforms.poly import Polynomial
 from oracles import (
     actions,
     brute_weight0_monomials,
+    dense_wedge_candidates,
+    frac_det,
     frac_rank,
     piecewide_cokernel_table,
     polynomial_matrix_rank,
@@ -160,6 +162,29 @@ def test_plucker_vectors_are_the_wedges(act):
             assert terms == list(w.terms())
 
 
+@given(actions())
+@example(make_action(4, finite_orders=[3], weight_matrix=[[1, 1, 2, 2]]))
+def test_sparse_wedges_are_the_minors(act):
+    """Every candidate is the k x k minors of its subset, by Fraction
+    determinants, and the list (points, order, vectors) is the one the
+    dense formula, which sums every term of every minor, gives."""
+    basis = hilbert_basis(act, 6)
+    gens = basis.generators
+    for k in range(min(act.n, 3) + 1):
+        want = []
+        for subset in combinations(gens, k):
+            vec = [
+                frac_det([[g[i] for g in subset] for i in I])
+                for I in combinations(range(act.n), k)
+            ]
+            if any(vec):
+                m = tuple(sum(col) for col in zip(*subset)) if k else (0,) * act.n
+                want.append((m, vec))
+        got = _wedge_candidates(act, basis, k)
+        assert got == want
+        assert got == dense_wedge_candidates(act, basis, k)
+
+
 @given(actions(4, 2), st.integers(0, 12))
 @example(make_action(4, finite_orders=[3], weight_matrix=[[1, 1, 2, 2]]), 7)
 def test_capped_wedges_are_the_wedges_up_to_the_cap(act, cap):
@@ -255,3 +280,44 @@ def test_torsion_free_rank():
     act = make_action(3, torus_rank=1, weight_matrix=[[1, 1, -2]])
     assert torsion_free_rank(act, 1) == 2
     assert torsion_free_rank(act, 2) == 1
+
+
+def test_no_candidate_is_reduced_into_a_full_block(monkeypatch, corpus_dir):
+    """Once the echelon at m holds C(|supp m|, k) wedges it rejects every
+    vector, so `pullback_image` stops reducing candidates into it."""
+    import invforms.pullback
+    from invforms.linalg import Echelon
+    from invforms.report import default_bound
+
+    act = load_action(corpus_dir / "z3_111.json")
+    bound = default_bound(act)
+    wedges = invforms.pullback._wedge_candidates
+    insert = Echelon.insert
+    points = {}  # id(candidate vector): its lattice point
+    inserted = []
+    full = []
+
+    def recorded(*args, **kwargs):
+        got = wedges(*args, **kwargs)
+        points.update((id(vec), m) for m, vec in got)
+        return got
+
+    def counted(self, row):
+        m = points[id(row)]
+        inserted.append(m)
+        if self.rank == comb(len(m) - m.count(0), k):
+            full.append(m)
+        return insert(self, row)
+
+    monkeypatch.setattr(invforms.pullback, "_wedge_candidates", recorded)
+    monkeypatch.setattr(Echelon, "insert", counted)
+    counts = []
+    for k in (1, 2, 3):
+        points.clear()
+        inserted.clear()
+        kept = pullback_image(act, k, bound).generator_blocks
+        counts.append((len(points), len(inserted), len(kept)))
+    assert full == []
+    # (candidates, reductions, kept): 3 and 77 candidates for k = 2, 3
+    # meet a full block and are dropped unreduced
+    assert counts == [(10, 10, 10), (45, 42, 35), (105, 28, 28)]

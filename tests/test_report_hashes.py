@@ -45,7 +45,11 @@ def report_hashes(corpus_dir, bound):
 
 def action_hashes():
     return [
-        {"action": doc, "bound": bound, "sha256": report_hash(action_from_dict(doc), bound)}
+        {
+            "action": doc,
+            "bound": bound,
+            "sha256": report_hash(action_from_dict(doc), bound),
+        }
         for doc, bound in ACTIONS
     ]
 
