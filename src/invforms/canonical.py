@@ -10,15 +10,21 @@ convention that a form's total degree counts each dx once.
 Route two reads the interior off supports.  The cone {a >= 0 :
 (torus rows) . a = 0} has only the inequalities a_i >= 0, so its
 relative interior is exactly the set of its points with a_i > 0 on
-every coordinate in the union of the Hilbert-basis supports; the other
-coordinates vanish on the whole cone (Bruns–Herzog, Cohen–Macaulay
-Rings, §6.3; Schrijver, Theory of Linear and Integer Programming, §8.2).
+every coordinate of a support U; the other coordinates vanish on the
+whole cone (Bruns–Herzog, Cohen–Macaulay Rings, §6.3; Schrijver, Theory
+of Linear and Integer Programming, §8.2).  U is the union of the
+supports of the ray generators (`pieces.Grading.rays`), read without a
+monoid scan: the cone is pointed and spanned by its extremal rays, so
+every point of it, and every Hilbert-basis element, has its support in
+U; and the least lattice point on an extremal ray is irreducible, so it
+is itself a Hilbert-basis element (Cox–Little–Schenck, Toric Varieties,
+§1.2; Bruns–Gubeladze, Polytopes, Rings, and K-Theory, ch. 2).  U is
+therefore also the union of the Hilbert-basis supports.
 """
 
 from invforms.action import finite_reflection_elements
 from invforms.invariants import (
     HilbertSeries,
-    certified_basis,
     hilbert_series_of,
     invariant_form_generators,
     quotient_dimension,
@@ -41,7 +47,7 @@ def toric_canonical_series(action, truncation, grading=None):
     if grading is None:
         grading = Grading(action)
     used = set()
-    for g in certified_basis(grading).generators:
+    for g in grading.rays:
         used.update(support(g))
     return HilbertSeries(
         tuple(

@@ -144,7 +144,8 @@ def cmd_corpus(args):
         return 1
     items = [(p.stem, str(p), args.max_degree) for p in specs]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(items))) as pool:
             done = list(pool.map(_corpus_worker, items))
     else:
         done = map(_corpus_worker, items)

@@ -153,16 +153,17 @@ def ray_monoid_generators(action):
     return gens
 
 
-def hilbert_certificate_bound(action):
+def hilbert_certificate_bound(action, gens):
     """Degree below which the full Hilbert basis provably lives.
 
     Every irreducible element of a normal monoid decomposes inside a
     simplicial subcone spanned by extremal generators, hence has degree
     at most the sum of their degrees.  For a finite-only action the
     group order is an alternative (Noether-type) bound; the smaller of
-    the two is returned.
+    the two is returned.  `gens` are the action's
+    `ray_monoid_generators`.
     """
-    ray_bound = sum(sum(g) for g in ray_monoid_generators(action))
+    ray_bound = sum(sum(g) for g in gens)
     if action.torus_rank == 0:
         return min(ray_bound, action.group_order)
     return ray_bound

@@ -35,32 +35,17 @@ class MonoidBasis:
     def max_degree(self):
         return max((sum(g) for g in self.generators), default=0)
 
-    def truncated(self, bound):
-        """The basis that a scan stopped at `bound` <= search_bound finds."""
-        if bound == self.search_bound:
-            return self
-        return MonoidBasis(
-            tuple(g for g in self.generators if sum(g) <= bound),
-            bound >= self.certificate_bound,
-            bound,
-            self.certificate_bound,
-        )
-
-
-def _check_bound(bound):
-    if bound < 1:
-        raise PreconditionError(f"bound must be at least 1, got {bound}")
-
 
 def hilbert_basis(action, bound, grading=None):
     """Minimal generators of the weight-zero monoid up to total degree `bound`.
 
     This is the monoid scan: a point is a generator when it dominates
     no generator of lower degree, tested on packed keys (`pieces`).
-    Within one call, take bases from `monoid_basis`, which cuts smaller
-    bases from the grading's scan.
+    Within one call, take the basis from `monoid_basis`, which keeps the
+    grading's scan.
     """
-    _check_bound(bound)
+    if bound < 1:
+        raise PreconditionError(f"bound must be at least 1, got {bound}")
     if grading is None:
         grading = Grading(action)
     guard = grading.guard
@@ -78,40 +63,25 @@ def hilbert_basis(action, bound, grading=None):
 
 
 def monoid_basis(grading, bound):
-    """The Hilbert basis found up to `bound`, cut from the grading's scan.
-
-    A scan reaches the bound asked for; a later, smaller bound is cut
-    from it.  Each monomial is tested only against generators of lower
-    degree, so the generators found up to `bound` do not depend on how
-    far the scan goes.
-    """
-    _check_bound(bound)
+    """The Hilbert basis found up to `bound`, scanned once per Grading:
+    every stage of a call asks for the call's bound."""
     scan = grading.monoid
-    if scan is None or scan.search_bound < bound:
+    if scan is None or scan.search_bound != bound:
         scan = grading.monoid = hilbert_basis(grading.action, bound, grading)
-    return scan.truncated(bound)
-
-
-def analysis_basis(grading, bound):
-    """The basis at `bound` for a call that also reads the certified
-    basis: one scan, to max(bound, certificate bound), serves both."""
-    _check_bound(bound)
-    top = max(bound, grading.certificate_bound())
-    return monoid_basis(grading, top).truncated(bound)
-
-
-def certified_basis(grading):
-    """The whole Hilbert basis: the scan up to the certificate bound."""
-    return monoid_basis(grading, max(grading.certificate_bound(), 1))
+    return scan
 
 
 def quotient_dimension(action, grading=None):
-    """Krull dimension of the invariant ring (dimension of the monoid
-    span), ranked once per Grading."""
+    """Krull dimension of the invariant ring, ranked once per Grading.
+
+    It is the dimension of the cone of the monoid, which its extremal
+    rays span, so the rank of the ray generators (`Grading.rays`): the
+    monoid needs no scan.
+    """
     if grading is None:
         grading = Grading(action)
     if grading.dimension is None:
-        grading.dimension = span_dim(certified_basis(grading).generators, action.n)
+        grading.dimension = span_dim(grading.rays, action.n)
     return grading.dimension
 
 
@@ -192,7 +162,8 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
             module.add(m, v)
             blocks.append((m, v))
         degrees.extend(d for _ in found)
-    # monoid_basis(grading, max(bound, 1)).complete, without a monoid scan
+    # whether monoid_basis(grading, max(bound, 1)) would be complete,
+    # read off the certificate bound without a monoid scan
     complete = max(bound, 1) >= grading.certificate_bound()
     return GradedSubmodule(k, tuple(blocks), tuple(degrees), bound, complete)
 

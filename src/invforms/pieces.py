@@ -77,12 +77,13 @@ as the horizontality check of `pullback.surjectivity_check`, would
 see the same numbers as it saw at q.
 """
 
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import itemgetter
 
 from invforms.action import weight_of_exponents
-from invforms.cones import hilbert_certificate_bound
+from invforms.cones import hilbert_certificate_bound, ray_monoid_generators
 from invforms.errors import ResourceLimitError, StructuralError
 from invforms.forms import PolyForm
 from invforms.linalg import Echelon
@@ -97,9 +98,12 @@ class Grading:
 
     Weight-zero points come with their packed keys and, per form
     degree, as the list of points with a nonzero block.  It also keeps
-    the call's certificate bound, in `monoid` its Hilbert-basis scan
-    (see `invariants.monoid_basis`) and in `dimension` the rank of the
-    certified basis (see `invariants.quotient_dimension`).
+    in `rays` the least lattice point of M on each extremal ray of its
+    cone (`cones.ray_monoid_generators`), from which the certificate
+    bound, dim Y (in `dimension`, see `invariants.quotient_dimension`)
+    and the canonical interior (`canonical.toric_canonical_series`) are
+    read, and in `monoid` the Hilbert-basis scan at the call's bound
+    (see `invariants.monoid_basis`).
     """
 
     def __init__(self, action):
@@ -158,10 +162,15 @@ class Grading:
             got = self._buckets[d] = {w: groups[w] for w in order}
         return got
 
+    @cached_property
+    def rays(self):
+        """`cones.ray_monoid_generators`, computed once per Grading."""
+        return ray_monoid_generators(self.action)
+
     def certificate_bound(self):
         """`cones.hilbert_certificate_bound`, computed once per Grading."""
         if self._certificate is None:
-            self._certificate = hilbert_certificate_bound(self.action)
+            self._certificate = hilbert_certificate_bound(self.action, self.rays)
         return self._certificate
 
 

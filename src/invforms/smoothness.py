@@ -17,7 +17,7 @@ from invforms.action import (
 )
 from invforms.cones import congruence_lattice_basis, same_lattice
 from invforms.errors import InternalCheckError, UnsupportedRouteError
-from invforms.invariants import analysis_basis, monoid_basis, quotient_dimension
+from invforms.invariants import monoid_basis, quotient_dimension
 from invforms.pieces import Grading
 from invforms.pullback import surjectivity_check
 
@@ -94,7 +94,7 @@ def monoid_smooth(action, bound, grading=None):
     gens = [list(g) for g in basis.generators]
     if not gens:
         return "smooth"
-    # a complete basis is the certified basis, whose rank is dim Y
+    # a complete basis is the whole Hilbert basis, whose rank is dim Y
     free = len(gens) == quotient_dimension(action, grading)
     if free:
         # determinant cross-check: independent Hilbert-basis generators
@@ -164,7 +164,7 @@ def smoothness_verdict(action, bound, surjectivity_results=None, grading=None):
     """
     if grading is None:
         grading = Grading(action)
-    basis = analysis_basis(grading, bound)
+    basis = monoid_basis(grading, bound)
     dim_y = quotient_dimension(action, grading)
     monoid = monoid_smooth(action, bound, grading)
     if action.torus_rank == 0:

@@ -15,7 +15,11 @@ scan over every generator, which the lift of `pieces.BlockModule`
 replaced; they reduce with `Echelon`.  `subring_series` is the
 engine's former count of the subring a monoid basis generates, and
 `singular_codimension` reads codim Y_sing off the Hilbert basis, the
-closed form the paper's theorem is checked against.  `ReferenceEchelon`
+closed form the paper's theorem is checked against; `monoid_is_free`
+decides freeness off the cone's ray generators, the closed form the
+monoid route is checked against.  `certified_basis` is the engine's
+former whole-Hilbert-basis helper, a scan to the certificate bound.
+`ReferenceEchelon`
 is the engine's former row reduction, which divided out the content
 after every elimination step, and `dense_wedge_candidates` its former
 wedge builder, which summed every term of every minor; the engine's
@@ -493,6 +497,91 @@ def singular_codimension(hilbert_basis, n):
             if len(minimal) > codim and (best is None or codim < best):
                 best = codim
     return best
+
+
+def certified_basis(grading):
+    """The whole Hilbert basis: the monoid scan up to the certificate bound."""
+    from invforms.invariants import hilbert_basis
+
+    bound = max(grading.certificate_bound(), 1)
+    return hilbert_basis(grading.action, bound, grading)
+
+
+def monoid_is_free(rays, weight_matrix, torus_rank, finite_orders):
+    """Whether the saturated monoid M = C ∩ L is free, from the least
+    points `rays` of M on the extremal rays of its cone C (L is the
+    lattice of weight-zero exponents).
+
+    M is free iff C has dim C rays and their generators G are a basis
+    of L ∩ span C (Cox–Little–Schenck, Toric Varieties, §1.3).  G spans
+    a sublattice of finite index there, and of index D in Z^n ∩ span C,
+    D the gcd of the maximal minors of G; so the index is 1 iff for no
+    prime p dividing D is some (y G) / p, y nonzero mod p, an integer
+    point of L.  Such y are the kernel of G mod p, found by elimination
+    over Z/p.
+    """
+    r = frac_rank(rays)
+    if len(rays) != r:
+        return False
+    n = len(rays[0]) if rays else 0
+    index = 0
+    for cols in combinations(range(n), r):
+        index = gcd(index, int(frac_det([[g[j] for j in cols] for g in rays])))
+    p = 2
+    while index > 1:
+        if index % p:
+            p += 1
+            continue
+        while index % p == 0:
+            index //= p
+        for y in _span_mod(_kernel_mod(rays, p), p):
+            x = [sum(c * g[j] for c, g in zip(y, rays)) // p for j in range(n)]
+            if brute_weight(weight_matrix, torus_rank, finite_orders, x) == (
+                (0,) * torus_rank,
+                (0,) * len(finite_orders),
+            ):
+                return False
+    return True
+
+
+def _kernel_mod(rows, p):
+    """A basis of {y : sum of y_i rows[i] = 0 mod p}, by reduced echelon
+    form of the columns over Z/p."""
+    r = len(rows)
+    mat = [[row[j] % p for row in rows] for j in range(len(rows[0]))]
+    pivots = []
+    for c in range(r):
+        piv = next((i for i in range(len(pivots), len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        top = len(pivots)
+        mat[top], mat[piv] = mat[piv], mat[top]
+        inv = pow(mat[top][c], -1, p)
+        mat[top] = [x * inv % p for x in mat[top]]
+        for i in range(len(mat)):
+            if i != top and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[top])]
+        pivots.append(c)
+    basis = []
+    for free in range(r):
+        if free not in pivots:
+            y = [0] * r
+            y[free] = 1
+            for row, c in zip(mat, pivots):
+                y[c] = -row[free] % p
+            basis.append(y)
+    return basis
+
+
+def _span_mod(basis, p):
+    """The nonzero vectors of the span of `basis` over Z/p, entries in [0, p)."""
+    for coeffs in product(range(p), repeat=len(basis)):
+        if any(coeffs):
+            yield [
+                sum(c * v[i] for c, v in zip(coeffs, basis)) % p
+                for i in range(len(basis[0]))
+            ]
 
 
 def dominated(gens, m):

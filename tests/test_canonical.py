@@ -9,15 +9,16 @@ from invforms.canonical import (
 )
 from invforms.forms import PolyForm, wedge
 from invforms.cones import facet_normals
-from invforms.invariants import (
-    certified_basis,
-    hilbert_series_of,
-    invariant_ring_series,
-)
+from invforms.invariants import hilbert_series_of, invariant_ring_series
 from invforms.pieces import Grading
 from invforms.poly import Polynomial
 from invforms.pullback import surjectivity_check
-from oracles import actions, brute_weight0_monomials, in_relative_interior
+from oracles import (
+    actions,
+    brute_weight0_monomials,
+    certified_basis,
+    in_relative_interior,
+)
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 Z3 = make_action(2, finite_orders=[3], weight_matrix=[[1, 1]])

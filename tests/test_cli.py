@@ -184,6 +184,38 @@ def test_corpus_error_names_the_spec(tmp_path, capsys, jobs):
     assert f"error: {bad}: finite order m_1 = 0 must be at least 2" in err
 
 
+def test_corpus_pool_has_no_more_workers_than_specs(
+    monkeypatch, tmp_path, capsys
+):
+    import invforms.cli
+
+    pools = []
+
+    class InProcessPool:
+        """Records its size and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(invforms.cli, "ProcessPoolExecutor", InProcessPool)
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    write(cdir / "a1.json", A1)
+    write(cdir / "a2.json", A1)
+    assert run(["corpus", str(cdir), "--jobs", "5000"]) == 0
+    assert pools == [2]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_corpus_rejects_non_positive_jobs(corpus_dir, capsys, jobs):
     assert run(["corpus", str(corpus_dir), "--jobs", jobs]) == 1

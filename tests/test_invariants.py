@@ -14,7 +14,6 @@ from invforms.invariants import (
     hilbert_series_of,
     invariant_form_generators,
     invariant_ring_series,
-    monoid_basis,
     quotient_dimension,
 )
 from invforms.linalg import Echelon
@@ -267,9 +266,8 @@ def test_one_monoid_scan_per_analysis(monkeypatch, corpus_dir, name, bound):
     certs = _count_calls(monkeypatch, invforms.cones.hilbert_certificate_bound)
     report = run_analysis(act, max_degree=bound)
     assert len(certs) == 1
-    assert len(scans) == 1
-    bounds = report["bounds"]
-    assert scans[0][1] == max(bounds["max_degree"], bounds["hilbert_certificate"])
+    # one scan, which stops at the bound asked for, even below the certificate
+    assert [args[1] for args in scans] == [report["bounds"]["max_degree"]]
 
 
 @pytest.mark.parametrize("name", ["z3_111", "z2_10", "t_12m3", "mix_t1z2"])
@@ -278,19 +276,24 @@ def test_one_rank_of_the_basis_per_analysis(monkeypatch, corpus_dir, name):
     from invforms.report import run_analysis
 
     ranks = _count_calls(monkeypatch, invforms.cones.span_dim)
+    rays = _count_calls(monkeypatch, invforms.cones.extremal_rays)
+    certs = _count_calls(monkeypatch, invforms.cones.hilbert_certificate_bound)
     report = run_analysis(load_action(corpus_dir / f"{name}.json"))
-    assert len(ranks) == 1
+    # the rays are enumerated once, and give both the certificate
+    # bound and dim Y
+    assert (len(rays), len(certs), len(ranks)) == (1, 1, 1)
     assert report["smoothness"]["monoid"] != "inconclusive"
 
 
-def test_canonical_comparison_scans_the_monoid_once(monkeypatch, corpus_dir):
+def test_canonical_comparison_makes_no_monoid_scan(monkeypatch, corpus_dir):
     import invforms.invariants
     from invforms.canonical import canonical_comparison
 
     act = load_action(corpus_dir / "z4_123.json")
     scans = _count_calls(monkeypatch, invforms.invariants.hilbert_basis)
     canonical_comparison(act, 10)
-    assert len(scans) == 1
+    # dim Y and the interior support are read off the extremal rays
+    assert scans == []
 
 
 def test_standalone_calls_scan_only_to_their_bound(monkeypatch, corpus_dir):
@@ -351,15 +354,6 @@ def test_echelons_stay_within_one_block(monkeypatch):
     run_analysis(act, max_degree=7)
     assert widths
     assert max(widths) <= 10  # C(5, 2), the widest block at n = 5
-
-
-def test_truncated_basis_equals_shorter_scan():
-    act = make_action(3, finite_orders=[5], weight_matrix=[[1, 2, 3]])
-    grading = Grading(act)
-    monoid_basis(grading, 9)
-    for bound in range(1, 10):
-        assert monoid_basis(grading, bound) == hilbert_basis(act, bound)
-    assert grading.monoid.search_bound == 9
 
 
 def test_saturated_blocks_skip_block_span(spanned, corpus_dir):

@@ -22,10 +22,34 @@ DATA = Path(__file__).parent / "data"
 PINNED = DATA / "corpus_report_sha256.json"
 PINNED_ACTIONS = DATA / "action_report_sha256.json"
 BOUNDS = ("default", 6)
-# (action, bound): Z3 on n=5 by [1,1,2,2,0] is the benchmark's n5_z3 input
+# (action, bound): Z3 on n=5 by [1,1,2,2,0] is the benchmark's n5_z3
+# input; the last two have certificate bounds 280 and 480, far above
+# the bound asked for
 ACTIONS = (
     ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 2, 2, 0]]}, 7),
     ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 1, 2, 2]]}, 8),
+    (
+        {
+            "n": 5,
+            "torus_rank": 2,
+            "finite_orders": [5],
+            "weight_matrix": [
+                [-3, 1, -1, 3, -1], [2, -3, 1, -1, -3], [4, 2, 2, 2, 3]
+            ],
+        },
+        12,
+    ),
+    (
+        {
+            "n": 4,
+            "torus_rank": 2,
+            "finite_orders": [4, 5],
+            "weight_matrix": [
+                [-1, -1, 3, -1], [3, -1, -2, 1], [3, -2, -3, -3], [-2, 0, -3, 3]
+            ],
+        },
+        12,
+    ),
 )
 
 

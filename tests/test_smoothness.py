@@ -3,7 +3,7 @@ from hypothesis import assume, example, given
 
 from invforms.action import action_vector, load_action, make_action
 from invforms.errors import ResourceLimitError, UnsupportedRouteError
-from invforms.invariants import certified_basis, quotient_dimension
+from invforms.invariants import quotient_dimension
 from invforms.pieces import Grading
 from invforms.pullback import target_generator_bound
 from invforms.smoothness import (
@@ -13,7 +13,7 @@ from invforms.smoothness import (
     shephard_todd_smooth,
     smoothness_verdict,
 )
-from oracles import actions, singular_codimension
+from oracles import actions, certified_basis, singular_codimension
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
 Z2R = make_action(2, finite_orders=[2], weight_matrix=[[1, 0]])
