@@ -23,8 +23,9 @@ PINNED = DATA / "corpus_report_sha256.json"
 PINNED_ACTIONS = DATA / "action_report_sha256.json"
 BOUNDS = ("default", 6)
 # (action, bound): Z3 on n=5 by [1,1,2,2,0] is the benchmark's n5_z3
-# input; the last two have certificate bounds 280 and 480, far above
-# the bound asked for
+# input; the next two have certificate bounds 280 and 480, far above
+# the bound asked for; the last two are torus actions at their
+# certificate bounds, where every verdict is certified
 ACTIONS = (
     ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 2, 2, 0]]}, 7),
     ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 1, 2, 2]]}, 8),
@@ -49,6 +50,11 @@ ACTIONS = (
             ],
         },
         12,
+    ),
+    ({"n": 5, "torus_rank": 1, "weight_matrix": [[1, 2, 3, -1, -4]]}, 24),
+    (
+        {"n": 6, "torus_rank": 1, "weight_matrix": [[1, 1, 1, -1, -1, -1]]},
+        18,
     ),
 )
 
