@@ -64,17 +64,16 @@ until the block's rank reaches its cap, the most the block can hold.
 
 Blocks saturate up the monoid.  Let q <= m be weight-zero points with
 supp q = supp m.  Then x^(m - q) is invariant and moves the block at q
-into the block at m, and both lie in Λ^k(Q^(supp m)), so they share
-one cap.  Once the block at q reaches its cap, so has the block at
-every such m: the `BlockModule` records q under its support, and a
-later m that dominates it takes the cap without being spanned.  A
-block that spanning leaves below its cap is looked at again when the
-next degree is asked for, so a caller may first extend the echelon at
-q, as `invariants.invariant_form_generators` does with its basis.
-Recording within a degree is exact because two distinct points of
-one degree never dominate each other.  A check on the rank at m, such
-as the horizontality check of `pullback.surjectivity_check`, would
-see the same numbers as it saw at q.
+into the block at m, and both lie in the space whose dimension is the
+cap of supp m (Λ^k(Q^(supp m)), or its horizontal block when every
+generator is horizontal), so they share one cap.  Once the block at q
+reaches its cap, so has the block at every such m: the `BlockModule`
+records q under its support, and a later m that dominates it takes the
+cap without being spanned.  A block that spanning leaves below its cap
+is looked at again when the next degree is asked for, so a caller may
+first extend the echelon at q, as `invariants.invariant_form_generators`
+does with its basis.  Recording within a degree is exact because two
+distinct points of one degree never dominate each other.
 """
 
 from functools import cached_property

@@ -1,4 +1,4 @@
-from hypothesis import assume, example, given
+from hypothesis import example, given
 
 from invforms.action import make_action
 from invforms.canonical import (
@@ -16,7 +16,6 @@ from invforms.pullback import surjectivity_check
 from oracles import (
     actions,
     brute_weight0_monomials,
-    certified_basis,
     in_relative_interior,
 )
 
@@ -64,9 +63,8 @@ def test_toric_canonical_series_examples():
 @example(make_action(3, torus_rank=1, weight_matrix=[[1, 1, 0]]))  # x, y vanish
 def test_interior_by_support_matches_facets(act):
     grading = Grading(act)
-    # the certified scan and the facets of a larger bound take seconds
-    assume(grading.certificate_bound() <= 100)
-    normals = facet_normals(certified_basis(grading).generators)
+    # the extremal ray generators span the cone with few facet subsets
+    normals = facet_normals(grading.rays)
     raw = act.weight_matrix, act.torus_rank, act.finite_orders, act.n
     want = tuple(
         sum(

@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 
@@ -83,6 +84,15 @@ def test_zero_max_degree_is_an_input_error(tmp_path, capsys):
     assert _one_error_line(capsys)
     assert run(["canonical", str(spec), "--max-degree", "0"]) == 1
     assert _one_error_line(capsys)
+
+
+def test_max_degree_past_the_packed_limit_fails_at_once(corpus_dir, capsys):
+    start = perf_counter()
+    spec = str(corpus_dir / "z2_10.json")
+    assert run(["analyze", spec, "--max-degree", "40000"]) == 2
+    assert perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "packed" in err
 
 
 def test_euler_torus_index_is_one_based(tmp_path, capsys):

@@ -359,15 +359,17 @@ def test_echelons_stay_within_one_block(monkeypatch):
 def test_saturated_blocks_skip_block_span(spanned, corpus_dir):
     from invforms.pullback import surjectivity_check
 
-    act = load_action(corpus_dir / "z3_111.json")
-    grading = Grading(act)
-    w0 = zero_weight(act)
-    # one echelon per open point; saturated points are never spanned
-    for k in range(1, 4):
-        spanned.clear()
-        surjectivity_check(act, k, 12)
-        listed = sum(len(block_points(grading, k, d, w0)) for d in range(13))
-        assert 0 < len(spanned) < listed
+    # one echelon per open point; saturated points are never spanned, on
+    # torus actions too, where a block's cap is its horizontal target
+    for name in ("z3_111", "t_11m1", "t_12m3", "t_rank2"):
+        act = load_action(corpus_dir / f"{name}.json")
+        grading = Grading(act)
+        w0 = zero_weight(act)
+        for k in range(1, quotient_dimension(act) + 1):
+            spanned.clear()
+            surjectivity_check(act, k, 12)
+            listed = sum(len(block_points(grading, k, d, w0)) for d in range(13))
+            assert 0 < len(spanned) < listed, (name, k)
 
 
 def test_analysis_builds_no_all_weight_bucket(monkeypatch, corpus_dir):

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 from operator import add, le
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -193,6 +194,21 @@ def test_packed_keys_agree_with_tuples():
     assert grading.weight_zero_keys(top) == [pack((0, top))]
     with pytest.raises(ResourceLimitError, match="packed"):
         grading.weight_zero(top + 1)
+
+
+def test_bound_past_the_packed_limit_fails_before_walking(corpus_dir):
+    from invforms.report import run_analysis
+
+    act = load_action(corpus_dir / "z2_10.json")
+    # checked against the bound up front, not when the walk reaches 2^15
+    for sweep in (
+        lambda: run_analysis(act, max_degree=40000),
+        lambda: invariant_form_generators(act, 1, True, 40000),
+    ):
+        start = perf_counter()
+        with pytest.raises(ResourceLimitError, match="packed"):
+            sweep()
+        assert perf_counter() - start < 1
 
 
 def _module_matches_scan(act, k, bound):

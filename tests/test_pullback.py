@@ -222,7 +222,9 @@ def test_blocks_match_the_piecewide_route(act, bound):
             assert tdim == closed
 
 
-def test_non_horizontal_image_fails_the_block_check(monkeypatch, spanned, corpus_dir):
+def test_non_horizontal_image_fails_the_generator_check(
+    monkeypatch, spanned, corpus_dir
+):
     import invforms.pullback
 
     # torus [1, -1, 0], Z2 [0, 0, 1]: the blocks at (0, 0, 2j) have the
@@ -244,11 +246,10 @@ def test_non_horizontal_image_fails_the_block_check(monkeypatch, spanned, corpus
     assert (0, 0, 2) in spanned and (0, 0, 4) not in spanned
     spanned.clear()
     monkeypatch.setattr(invforms.pullback, "pullback_image", with_bad_generator)
-    with pytest.raises(InternalCheckError, match=r"degree 4 at lattice point \(1, 1, 2\)"):
+    with pytest.raises(InternalCheckError, match=r"lattice point \(1, 1, 2\) is not horizontal"):
         surjectivity_check(act, 1, 6)
-    # the degree-4 blocks: (0, 0, 4) saturated, (1, 1, 2) spanned and
-    # checked before (2, 2, 0)
-    assert spanned[-2:] == [(1, 1, 2), (2, 2, 0)] and (0, 0, 4) not in spanned
+    # each generator is checked once, before any block is spanned
+    assert spanned == []
 
 
 def test_target_generator_bound_finite():
