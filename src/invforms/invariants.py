@@ -48,7 +48,7 @@ def hilbert_basis(action, bound, grading=None):
         raise PreconditionError(f"bound must be at least 1, got {bound}")
     if grading is None:
         grading = Grading(action)
-    grading.weight_zero(bound)  # fails at once past the packed-key limit
+    grading.weight_zero(bound)  # walked anyway; raises first past the packed-key limit
     guard = grading.guard
     gens = []
     keys = []
@@ -144,7 +144,7 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
         raise PreconditionError(f"bound {bound} below form degree {k}")
     if grading is None:
         grading = Grading(action)
-    grading.weight_zero(bound)  # fails at once past the packed-key limit
+    grading.weight_zero(bound)  # walked anyway; raises first past the packed-key limit
     n = action.n
     rows = torus_rows(action) if horizontal else ()
     basis_at = cache(lambda s: horizontal_block(n, k, s, rows))
