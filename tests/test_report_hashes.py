@@ -23,12 +23,14 @@ PINNED = DATA / "corpus_report_sha256.json"
 PINNED_ACTIONS = DATA / "action_report_sha256.json"
 BOUNDS = ("default", 6)
 # (action, bound): Z3 on n=5 by [1,1,2,2,0] is the benchmark's n5_z3
-# input; the next two have certificate bounds 280 and 480, far above
-# the bound asked for; the last two are torus actions at their
-# certificate bounds, where every verdict is certified
+# input; Z3 on n=5 by [1,1,1,2,2] at 12 is where seeded blocks skip the
+# most reductions; the next two have certificate bounds 280 and 480,
+# far above the bound asked for; the last two are torus actions at
+# their certificate bounds, where every verdict is certified
 ACTIONS = (
     ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 2, 2, 0]]}, 7),
     ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 1, 2, 2]]}, 8),
+    ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 1, 2, 2]]}, 12),
     (
         {
             "n": 5,
