@@ -271,6 +271,9 @@ def cmd_euler(args):
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("k  dim  homology")
     for k in range(action.n + 1):
         print(f"{k}  {res.dims[k]}  {res.homology[k]}")

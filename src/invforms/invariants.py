@@ -31,7 +31,7 @@ class MonoidBasis:
     search_bound: int
     certificate_bound: int
 
-    @property
+    @cached_property
     def max_degree(self):
         return max((sum(g) for g in self.generators), default=0)
 
@@ -40,9 +40,10 @@ def hilbert_basis(action, bound, grading=None):
     """Minimal generators of the weight-zero monoid up to total degree `bound`.
 
     This is the monoid scan: a point is a generator when it dominates
-    no generator of lower degree, tested on packed keys (`pieces`).
-    Within one call, take the basis from `monoid_basis`, which keeps the
-    grading's scan.
+    no generator of lower degree, tested on packed keys (`pieces`); any
+    other point m records the key of m - h, h the first generator it
+    dominates, as its parent in `grading.parents`.  Within one call, take
+    the basis from `monoid_basis`, which keeps the grading's scan.
     """
     if bound < 1:
         raise PreconditionError(f"bound must be at least 1, got {bound}")
@@ -56,7 +57,11 @@ def hilbert_basis(action, bound, grading=None):
         points = zip(grading.weight_zero(d), grading.weight_zero_keys(d))
         for (exps, _), key in points:
             top = key | guard
-            if not any((top - g) & guard == guard for g in keys):
+            for g in keys:
+                if (top - g) & guard == guard:
+                    grading.parents[key] = key - g
+                    break
+            else:
                 gens.append(exps)
                 keys.append(key)
     cert = grading.certificate_bound()

@@ -46,6 +46,8 @@ class Echelon:
     canonical RREF (up to overall scaling of each row) of the span.
     """
 
+    __slots__ = ("ncols", "rows", "pivots")
+
     def __init__(self, ncols):
         self.ncols = ncols
         self.rows = []

@@ -58,9 +58,8 @@ is additive, so m - p >= 0 has weight zero exactly when m does: the
 weight-zero points of degree d that dominate p are exactly p + q for
 q in weight_zero(d - |p|).  A `BlockModule` holds its generators
 ascending by degree and adds the keys of those q to the key of each,
-in order, so every point gets the vectors that a scan over all
-generators would keep for it, in the same order.  It reduces them
-until the block's rank reaches its cap, the most the block can hold.
+so a point gets the generators it dominates in scan order, and reduces
+them until the block's rank reaches its cap, the most it can hold.
 
 Blocks saturate up the monoid.  Let q <= m be weight-zero points with
 supp q = supp m.  Then x^(m - q) is invariant and moves the block at q
@@ -69,11 +68,21 @@ cap of supp m (Λ^k(Q^(supp m)), or its horizontal block when every
 generator is horizontal), so they share one cap.  Once the block at q
 reaches its cap, so has the block at every such m: the `BlockModule`
 records q under its support, and a later m that dominates it takes the
-cap without being spanned.  A block that spanning leaves below its cap
-is looked at again when the next degree is asked for, so a caller may
-first extend the echelon at q, as `invariants.invariant_form_generators`
-does with its basis.  Recording within a degree is exact because two
-distinct points of one degree never dominate each other.
+cap without being spanned.  The blocks of a degree are recorded when
+the next degree is asked for, so a caller may first extend the echelon
+at q, as `invariants.invariant_form_generators` does with its basis.
+
+Blocks are seeded.  The monoid scan gives each reducible point m a
+parent q = m - h, h in the Hilbert basis (`invariants.hilbert_basis`).
+If q was spanned, m starts from a copy of q's echelon, sharing its rows
+(never changed in place), and reduces only the generators p not <= q.
+This is exact: lifting keeps coordinates, so the span at q lies in that
+at m; a parent at its cap spans every generator <= q, the cap being the
+dimension of the space holding them; a caller's extension at q is added
+as generators at q; and echelon rows are the canonical reduced form of
+their span (`linalg`), so the rows, rank and capped status at m do not
+depend on the rows started from.  Only the last degrees, where a parent
+can lie, keep their echelons.
 """
 
 from functools import cached_property
@@ -102,13 +111,14 @@ class Grading:
     bound, dim Y (in `dimension`, see `invariants.quotient_dimension`)
     and the canonical interior (`canonical.toric_canonical_series`) are
     read, and in `monoid` the Hilbert-basis scan at the call's bound
-    (see `invariants.monoid_basis`).
+    (see `invariants.monoid_basis`), with the parents it records.
     """
 
     def __init__(self, action):
         self.action = action
         self.monoid = None
         self.dimension = None
+        self.parents = {}
         # the guard bits of the packed keys (see the module docstring)
         self.guard = pack((1 << (KEY_WIDTH - 1),) * action.n)
         self._certificate = None
@@ -138,11 +148,7 @@ class Grading:
         return got
 
     def _enumerate(self, d):
-        if d >= 1 << (KEY_WIDTH - 1):
-            raise ResourceLimitError(
-                f"degree {d} does not fit a {KEY_WIDTH}-bit packed "
-                f"coordinate; degrees stop at {(1 << (KEY_WIDTH - 1)) - 1}"
-            )
+        check_degree(d)
         if self._points is None:
             self._points = weight_zero_enumerator(self.action)
         got = self._weight_zero[d] = self._points(d)
@@ -153,6 +159,7 @@ class Grading:
         ascending (torus, finite) order, exponents ascending."""
         got = self._buckets.get(d)
         if got is None:
+            check_degree(d)
             groups = {}
             for exps in monomials_of_degree(self.action.n, d):
                 w = weight_of_exponents(self.action, exps)
@@ -171,6 +178,15 @@ class Grading:
         if self._certificate is None:
             self._certificate = hilbert_certificate_bound(self.action, self.rays)
         return self._certificate
+
+
+def check_degree(d):
+    """Fail on a degree past the packed keys before listing its points."""
+    if d >= 1 << (KEY_WIDTH - 1):
+        raise ResourceLimitError(
+            f"degree {d} does not fit a {KEY_WIDTH}-bit packed "
+            f"coordinate; degrees stop at {(1 << (KEY_WIDTH - 1)) - 1}"
+        )
 
 
 def monomials_of_degree(n, d):
@@ -357,9 +373,10 @@ class BlockModule:
             ((pack(m), sum(m), vec) for m, vec in blocks), key=itemgetter(1)
         )
         self._capped = {}  # support: packed keys of points at their cap
-        # (key, supp, cap, echelon) of the blocks the last `blocks` left
-        # below their cap, which its caller may extend
-        self._open = []
+        self._held = {}  # key: echelon of a spanned point
+        self._spanned = {}  # degree: (key, echelon, supp, cap) of those points
+        # a parent lies at most the largest Hilbert-basis degree below
+        self._depth = grading.monoid.max_degree if grading.monoid else 0
 
     def add(self, m, vec):
         """Add a generator at m, of no lower degree than those held."""
@@ -369,18 +386,20 @@ class BlockModule:
         """[(m, supp m, echelon or None)] for the points of degree d with
         a nonzero block, in `Grading.zero_blocks` order.  None marks a
         saturated point, whose block has rank cap(supp m); an open
-        point gets the echelon of the generators lifted to it, spanned
-        in order until its rank reaches the cap.  Degrees must be asked
-        for in ascending order."""
+        point gets the echelon of the generators lifted to it, seeded
+        from its parent's and spanned in order until its rank reaches
+        the cap.  Degrees must be asked for one after another, ascending."""
         guard = self._grading.guard
         capped = self._capped
-        for key, s, full, ech in self._open:
+        held = self._held
+        for key, ech, s, full in self._spanned.get(d - 1, ()):
             if ech.rank == full:
                 capped.setdefault(s, []).append(key)
-        self._open = []
+        for got in self._spanned.pop(d - 1 - self._depth, ()):
+            del held[got[0]]
+        parents = self._grading.parents
         out = []
-        todo = []  # (position in out, m, supp m, key) of the open points
-        lifted = {}
+        lifted = {}  # key: (vectors, parent | guard or None, position, m, s, seed)
         for m, s, key in self._grading.zero_blocks(self._k, d):
             top = key | guard
             for q in capped.get(s, ()):
@@ -388,9 +407,10 @@ class BlockModule:
                     out.append((m, s, None))
                     break
             else:
-                todo.append((len(out), m, s, key))
+                parent = parents.get(key)
+                seed = held.get(parent)
+                lifted[key] = [], seed and parent | guard, len(out), m, s, seed
                 out.append(None)
-                lifted[key] = []
         if lifted:
             zero_keys = self._grading.weight_zero_keys
             for p, deg, vec in self._gens:
@@ -399,23 +419,26 @@ class BlockModule:
                 for q in zero_keys(d - deg):
                     got = lifted.get(p + q)
                     if got is not None:
-                        got.append(vec)
+                        # the seed already spans the generators below it
+                        if got[1] is None or (got[1] - p) & guard != guard:
+                            got[0].append(vec)
         caps = self._caps
-        for i, m, s, key in todo:
+        spanned = self._spanned[d] = []
+        for key, (vecs, _, i, m, s, seed) in lifted.items():
             full = caps.get(s)
             if full is None:
                 full = caps[s] = self._cap(s)
             ech = Echelon(self._ncols)
-            rank = 0
-            for vec in lifted[key]:
+            if seed is not None:
+                ech.rows, ech.pivots = seed.rows[:], seed.pivots[:]
+            rank = ech.rank
+            for vec in vecs:
                 if rank == full:
                     break
                 if ech.insert(vec) is not None:
                     rank += 1
-            if rank == full:
-                capped.setdefault(s, []).append(key)
-            else:
-                self._open.append((key, s, full, ech))
+            held[key] = ech
+            spanned.append((key, ech, s, full))
             out[i] = (m, s, ech)
         return out
 

@@ -17,7 +17,7 @@ from operator import add, mul
 from invforms.errors import InternalCheckError, PreconditionError
 from invforms.euler import horizontal_block, torus_rows
 from invforms.invariants import monoid_basis
-from invforms.linalg import Echelon, echelon_of, rank_of_rows
+from invforms.linalg import echelon_of, rank_of_rows
 from invforms.pieces import BlockModule, Grading, block_form, block_key, support
 
 
@@ -134,10 +134,11 @@ def pullback_image(action, k, bound, basis=None, grading=None):
     that have degree at most `bound`.
 
     A wedge that is a constant-linear combination of earlier wedges at
-    its lattice point is dropped; that never shrinks the spanned module.
-    Wedges at m have their minors on the k-subsets of supp m, so once
-    the wedges kept at m span all C(|supp m|, k) of them, later ones
-    are dropped without being reduced.
+    its lattice point m is dropped; that never shrinks the spanned
+    module.  The first, nonzero, is kept unreduced, and the echelon at m
+    is built when a second arrives.  Wedges at m have their minors on
+    the k-subsets of supp m, so once those kept span all C(|supp m|, k)
+    of them, later ones are dropped without being reduced.
     All wedges at one lattice point share its degree, so the cap drops
     whole lattice points and keeps the same wedges below it.  Generators
     are listed by total degree, then in subset order.
@@ -150,12 +151,17 @@ def pullback_image(action, k, bound, basis=None, grading=None):
         basis = monoid_basis(grading, bound)
     if k > action.n:
         return PullbackImage(k, (), (), bound, basis.complete)
-    blocks = {}  # m: (echelon, its cap C(|supp m|, k))
+    first = {}  # m: the first wedge at m
+    blocks = {}  # m: (echelon, its cap C(|supp m|, k)), from the second on
     kept = []
     for m, vec in _wedge_candidates(action, basis, k, max_degree=bound):
         got = blocks.get(m)
         if got is None:
-            got = blocks[m] = Echelon(len(vec)), comb(len(m) - m.count(0), k)
+            if first.setdefault(m, vec) is vec:
+                kept.append((m, vec))
+                continue
+            ech = echelon_of([first[m]], len(vec))
+            got = blocks[m] = ech, comb(len(m) - m.count(0), k)
         ech, cap = got
         if ech.rank < cap and ech.insert(vec) is not None:
             kept.append((m, vec))

@@ -93,6 +93,13 @@ def test_max_degree_past_the_packed_limit_fails_at_once(corpus_dir, capsys):
     assert perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "packed" in err
+    # the homology table checks the degree before listing its monomials
+    start = perf_counter()
+    spec = str(corpus_dir / "t_11m1.json")
+    assert run(["euler", spec, "--degree", "40000"]) == 2
+    assert perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "packed" in err
 
 
 def test_euler_torus_index_is_one_based(tmp_path, capsys):

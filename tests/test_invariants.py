@@ -352,8 +352,11 @@ def test_echelons_stay_within_one_block(monkeypatch):
     monkeypatch.setattr(Echelon, "insert", recorded)
     act = make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]])
     run_analysis(act, max_degree=7)
-    assert widths
     assert max(widths) <= 10  # C(5, 2), the widest block at n = 5
+    # reductions per analysis (the benchmark's n5_z3): 1,574 with every
+    # block spanned from nothing and every wedge reduced, 727 with blocks
+    # seeded from their monoid parents and first wedges kept unreduced
+    assert len(widths) == 727
 
 
 def test_saturated_blocks_skip_block_span(spanned, corpus_dir):

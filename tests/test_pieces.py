@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from invforms.action import Weight, load_action, make_action, zero_weight
 from invforms.errors import ResourceLimitError
-from invforms.invariants import invariant_form_generators
+from invforms.euler import homology_all_weights, horizontal_block, torus_rows
+from invforms.invariants import invariant_form_generators, monoid_basis
 from invforms.pieces import (
     KEY_WIDTH,
     BlockModule,
@@ -200,10 +201,13 @@ def test_bound_past_the_packed_limit_fails_before_walking(corpus_dir):
     from invforms.report import run_analysis
 
     act = load_action(corpus_dir / "z2_10.json")
-    # checked against the bound up front, not when the walk reaches 2^15
+    torus = load_action(corpus_dir / "t_11m1.json")
+    # checked against the bound up front, not when the walk reaches 2^15,
+    # and before the homology lists the monomials of its degree
     for sweep in (
         lambda: run_analysis(act, max_degree=40000),
         lambda: invariant_form_generators(act, 1, True, 40000),
+        lambda: homology_all_weights(torus, 40000),
     ):
         start = perf_counter()
         with pytest.raises(ResourceLimitError, match="packed"):
@@ -246,3 +250,32 @@ def _module_matches_scan(act, k, bound):
 def test_lift_matches_the_generator_scan(act, k):
     if k <= act.n:
         _module_matches_scan(act, k, 6)
+
+
+def test_seeded_blocks_match_unseeded_blocks(corpus_dir):
+    """A module on a grading with a monoid scan seeds each open block
+    from its parent's echelon; one on a fresh grading has no parents and
+    spans every block from nothing.  Both hand out the same points, the
+    same saturated points and the same echelon rows."""
+    bound = 6
+    with_parents = 0
+    for path in sorted(corpus_dir.glob("*.json")):
+        act = load_action(path)
+        seeded = Grading(act)
+        monoid_basis(seeded, bound)
+        with_parents += bool(seeded.parents)
+        rows = torus_rows(act)
+        for k in range(act.n + 1):
+            gens = pullback_image(act, k, bound, grading=seeded).generator_blocks
+            cap = lambda s: len(horizontal_block(act.n, k, s, rows))  # noqa: E731
+            fresh = Grading(act)
+            modules = [BlockModule(g, k, cap, gens) for g in (seeded, fresh)]
+            for d in range(bound + 1):
+                got, want = (
+                    [(m, s, ech and ech.rows) for m, s, ech in mod.blocks(d)]
+                    for mod in modules
+                )
+                assert got == want, (path.stem, k, d)
+            assert not fresh.parents
+    # t_11m3, z4_11 and z8_13 have no reducible point up to the bound
+    assert with_parents == 32

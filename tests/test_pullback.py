@@ -319,6 +319,8 @@ def test_no_candidate_is_reduced_into_a_full_block(monkeypatch, corpus_dir):
         kept = pullback_image(act, k, bound).generator_blocks
         counts.append((len(points), len(inserted), len(kept)))
     assert full == []
-    # (candidates, reductions, kept): 3 and 77 candidates for k = 2, 3
-    # meet a full block and are dropped unreduced
-    assert counts == [(10, 10, 10), (45, 42, 35), (105, 28, 28)]
+    # (candidates, reductions, kept): a point's first wedge is kept
+    # unreduced and reduced only when a second one arrives there, which
+    # for k = 3 (cap 1) finds the block full; 3 and 77 candidates for
+    # k = 2, 3 meet a full block and are dropped unreduced
+    assert counts == [(10, 0, 10), (45, 30, 35), (105, 25, 28)]
