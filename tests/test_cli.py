@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -321,3 +325,77 @@ def test_canonical_command(tmp_path, capsys):
     write(refl, {"n": 2, "finite_orders": [2], "weight_matrix": [[1, 0]]})
     assert run(["canonical", str(refl)]) == 2
     capsys.readouterr()
+
+
+def test_analyze_missing_file_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", str(missing)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+
+
+def test_analyze_non_integer_form_degree_is_an_input_error(tmp_path, capsys):
+    spec = tmp_path / "a1.json"
+    write(spec, A1)
+    assert run(["analyze", str(spec), "--form-degree", "x"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --form-degree must be an integer or 'all', got 'x'\n"
+    )
+
+
+def test_corpus_on_a_file_is_an_input_error(tmp_path, capsys):
+    spec = tmp_path / "a1.json"
+    write(spec, A1)
+    assert run(["corpus", str(spec)]) == 1
+    assert capsys.readouterr().err == f"error: not a directory: {spec}\n"
+
+
+def test_euler_weight_of_the_wrong_length_is_an_input_error(tmp_path, capsys):
+    spec = tmp_path / "t.json"
+    write(spec, {"n": 2, "torus_rank": 1, "finite_orders": [], "weight_matrix": [[1, 1]]})
+    assert run(["euler", str(spec), "--degree", "2", "--weight", "1,2"]) == 1
+    assert capsys.readouterr().err == "error: weight needs 1+0 entries, got 2\n"
+
+
+def test_canonical_past_the_packed_limit_is_an_engine_error(corpus_dir, capsys):
+    spec = str(corpus_dir / "z2_10.json")
+    assert run(["canonical", spec, "--max-degree", "40000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: degree 40000 does not fit a 16-bit packed coordinate; "
+        "degrees stop at 32767\n"
+    )
+
+
+def test_report_records_a_skipped_canonical_stage(tmp_path, capsys):
+    from invforms.action import load_action
+    from invforms.report import run_analysis
+
+    # dim Y = 3 lies above the truncation at degree 2
+    spec = tmp_path / "z2.json"
+    write(spec, {"n": 3, "finite_orders": [2], "weight_matrix": [[1, 1, 1]]})
+    report = run_analysis(load_action(spec), max_degree=2)
+    assert report["canonical"] == {"skipped": "bound 2 below form degree 3"}
+    assert (
+        "canonical comparison skipped: bound 2 below form degree 3"
+        in report["inconclusive"]
+    )
+    assert run(["analyze", str(spec), "--max-degree", "2"]) == 2
+    capsys.readouterr()
+
+
+def test_module_entry_point_runs_the_corpus(corpus_dir):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "invforms.cli", "corpus", str(corpus_dir)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "35 instances: 0 violations, 0 golden mismatches, 0 inconclusive"
+    )

@@ -1,7 +1,14 @@
+from itertools import product
+
 import pytest
 from hypothesis import assume, example, given
 
-from invforms.action import action_vector, load_action, make_action
+from invforms.action import (
+    action_vector,
+    iter_finite_elements,
+    load_action,
+    make_action,
+)
 from invforms.errors import ResourceLimitError, UnsupportedRouteError
 from invforms.invariants import quotient_dimension
 from invforms.pieces import Grading
@@ -83,6 +90,30 @@ def test_shephard_todd_non_faithful_and_product_cases():
     axes = make_action(2, finite_orders=[2, 2], weight_matrix=[[1, 0], [0, 1]])
     assert shephard_todd_smooth(axes)
 
+
+
+def _finite_grid():
+    """Every Z/m row on n <= 3 for m in {2, 3, 4, 6}, and every pair of
+    rows of Z/m1 x Z/m2 on n = 2 for four small (m1, m2)."""
+    for m in (2, 3, 4, 6):
+        for n in (1, 2, 3):
+            for row in product(range(m), repeat=n):
+                yield make_action(n, finite_orders=[m], weight_matrix=[row])
+    for m1, m2 in ((2, 2), (2, 3), (2, 4), (3, 3)):
+        for r1 in product(range(m1), repeat=2):
+            for r2 in product(range(m2), repeat=2):
+                yield make_action(2, finite_orders=[m1, m2], weight_matrix=[r1, r2])
+
+
+def test_shephard_todd_matches_the_subgroup_closure():
+    verdicts = []
+    for act in _finite_grid():
+        reflections = [r.exponents for r in pseudo_reflections(act)]
+        image = {action_vector(act, e) for e in iter_finite_elements(act)}
+        want = brute_subgroup_generated(act, reflections) == image
+        assert shephard_todd_smooth(act) == want, act
+        verdicts.append(want)
+    assert (len(verdicts), sum(verdicts)) == (592, 224)
 
 def test_monoid_smooth_examples():
     assert monoid_smooth(Z2, 6) == "singular"
