@@ -1,8 +1,11 @@
 """Command-line front end: analyze / corpus / euler / canonical.
 
 Exit codes: 0 completed with verdicts, 1 input error, 2 completed with
-inconclusive flags, 3 golden-file mismatch (corpus), 4 theorem-
-equivalence violation on a certified instance (corpus).
+inconclusive flags or stopped by an engine error, 3 golden-file
+mismatch (corpus), 4 theorem-equivalence violation on a certified
+instance (corpus).  Commands raise their input errors as
+`PreconditionError`; `main` alone turns an engine error into an exit
+code, 1 for a `PreconditionError` and 2 for any other `EngineError`.
 """
 
 import argparse
@@ -66,7 +69,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_canonical)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, PreconditionError) else 2
 
 
 def _load(path):
@@ -95,20 +102,11 @@ def cmd_analyze(args):
         try:
             ks = [int(args.form_degree)]
         except ValueError:
-            print(
-                f"error: --form-degree must be an integer or 'all', "
-                f"got {args.form_degree!r}",
-                file=sys.stderr,
-            )
-            return 1
-    try:
-        report = run_analysis(action, max_degree=args.max_degree, form_degrees=ks)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise PreconditionError(
+                f"--form-degree must be an integer or 'all', "
+                f"got {args.form_degree!r}"
+            ) from None
+    report = run_analysis(action, max_degree=args.max_degree, form_degrees=ks)
     text = report_to_json(report)
     if args.json_out:
         Path(args.json_out).write_text(text, encoding="utf-8")
@@ -130,18 +128,15 @@ def _corpus_worker(item):
 
 def cmd_corpus(args):
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 1
+        raise PreconditionError(f"--jobs must be at least 1, got {args.jobs}")
     root = Path(args.corpus_dir)
     if not root.is_dir():
-        print(f"error: not a directory: {root}", file=sys.stderr)
-        return 1
+        raise PreconditionError(f"not a directory: {root}")
     specs = sorted(
         p for p in root.glob("*.json") if not p.name.endswith(".golden.json")
     )
     if not specs:
-        print(f"error: empty corpus: {root}", file=sys.stderr)
-        return 1
+        raise PreconditionError(f"empty corpus: {root}")
     items = [(p.stem, str(p), args.max_degree) for p in specs]
     if args.jobs > 1:
         # the pool starts all its workers at the first submit
@@ -218,62 +213,46 @@ def cmd_corpus(args):
 def cmd_euler(args):
     action = _load(args.spec)
     if action.torus_rank < 1:
-        print(
-            "error: the action has no torus factor; the contraction complex "
-            "needs torus rank at least 1",
-            file=sys.stderr,
+        raise PreconditionError(
+            "the action has no torus factor; the contraction complex "
+            "needs torus rank at least 1"
         )
-        return 1
     if not 1 <= args.torus_index <= action.torus_rank:
-        print(
-            f"error: --torus-index {args.torus_index} outside 1..{action.torus_rank}",
-            file=sys.stderr,
+        raise PreconditionError(
+            f"--torus-index {args.torus_index} outside 1..{action.torus_rank}"
         )
-        return 1
     ti = args.torus_index - 1
-    try:
-        if args.weight is None:
-            res = homology_all_weights(
-                action,
-                args.degree,
-                torus_index=ti,
-                require_positive_grading=args.point_quotient,
+    if args.weight is None:
+        res = homology_all_weights(
+            action,
+            args.degree,
+            torus_index=ti,
+            require_positive_grading=args.point_quotient,
+        )
+    else:
+        try:
+            parts = [int(x) for x in args.weight.split(",")]
+        except ValueError:
+            raise PreconditionError(
+                f"--weight must be comma-separated integers, got {args.weight!r}"
+            ) from None
+        s, t = action.torus_rank, action.t
+        if len(parts) != s + t:
+            raise PreconditionError(
+                f"weight needs {s}+{t} entries, got {len(parts)}"
             )
-        else:
-            try:
-                parts = [int(x) for x in args.weight.split(",")]
-            except ValueError:
-                print(
-                    f"error: --weight must be comma-separated integers, "
-                    f"got {args.weight!r}",
-                    file=sys.stderr,
-                )
-                return 1
-            s, t = action.torus_rank, action.t
-            if len(parts) != s + t:
-                print(
-                    f"error: weight needs {s}+{t} entries, got {len(parts)}",
-                    file=sys.stderr,
-                )
-                return 1
-            w = Weight(
-                tuple(parts[:s]),
-                tuple(p % m for p, m in zip(parts[s:], action.finite_orders)),
-                action.finite_orders,
-            )
-            res = euler_homology(
-                action,
-                w,
-                args.degree,
-                torus_index=ti,
-                require_positive_grading=args.point_quotient,
-            )
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        w = Weight(
+            tuple(parts[:s]),
+            tuple(p % m for p, m in zip(parts[s:], action.finite_orders)),
+            action.finite_orders,
+        )
+        res = euler_homology(
+            action,
+            w,
+            args.degree,
+            torus_index=ti,
+            require_positive_grading=args.point_quotient,
+        )
     print("k  dim  homology")
     for k in range(action.n + 1):
         print(f"{k}  {res.dims[k]}  {res.homology[k]}")
@@ -283,14 +262,7 @@ def cmd_euler(args):
 
 def cmd_canonical(args):
     action = _load(args.spec)
-    try:
-        doc = canonical_comparison(action, args.max_degree)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = canonical_comparison(action, args.max_degree)
     print(f"quotient dimension: {doc['dimension']}")
     print(f"invariant-form series:  {doc['series_invariant_forms']}")
     print(f"toric interior series:  {doc['series_toric_interior']}")

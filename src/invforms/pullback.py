@@ -33,7 +33,6 @@ class PullbackImage:
     k: int
     generator_blocks: tuple
     generator_degrees: tuple
-    certified_bound: int
     certified: bool
 
     @cached_property
@@ -150,7 +149,7 @@ def pullback_image(action, k, bound, basis=None, grading=None):
     if basis is None:
         basis = monoid_basis(grading, bound)
     if k > action.n:
-        return PullbackImage(k, (), (), bound, basis.complete)
+        return PullbackImage(k, (), (), basis.complete)
     first = {}  # m: the first wedge at m
     blocks = {}  # m: (echelon, its cap C(|supp m|, k)), from the second on
     kept = []
@@ -167,7 +166,7 @@ def pullback_image(action, k, bound, basis=None, grading=None):
             kept.append((m, vec))
     kept.sort(key=lambda b: sum(b[0]))
     return PullbackImage(
-        k, tuple(kept), tuple(sum(m) for m, _ in kept), bound, basis.complete
+        k, tuple(kept), tuple(sum(m) for m, _ in kept), basis.complete
     )
 
 

@@ -33,7 +33,7 @@ def default_bound(action):
     return max(2 * action.group_order, 12)
 
 
-def run_analysis(action, max_degree=None, form_degrees=None, with_canonical=True):
+def run_analysis(action, max_degree=None, form_degrees=None):
     """Full pipeline on one action; returns the report dict."""
     bound = default_bound(action) if max_degree is None else max_degree
     timings = {}
@@ -92,17 +92,15 @@ def run_analysis(action, max_degree=None, form_degrees=None, with_canonical=True
     if verdict.consolidated == "inconclusive":
         inconclusive.append("smoothness verdict inconclusive")
 
-    canonical_section = None
-    if with_canonical:
-        t0 = time.perf_counter()
-        try:
-            canonical_section = canonical_comparison(
-                action, min(bound, max(10, dim_y)), grading
-            )
-        except EngineError as exc:
-            canonical_section = {"skipped": str(exc)}
-            inconclusive.append(f"canonical comparison skipped: {exc}")
-        timings["canonical"] = _ms(t0)
+    t0 = time.perf_counter()
+    try:
+        canonical_section = canonical_comparison(
+            action, min(bound, max(10, dim_y)), grading
+        )
+    except EngineError as exc:
+        canonical_section = {"skipped": str(exc)}
+        inconclusive.append(f"canonical comparison skipped: {exc}")
+    timings["canonical"] = _ms(t0)
 
     return {
         "schema": SCHEMA_VERSION,

@@ -8,6 +8,7 @@ they agree.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 from invforms.action import (
     action_vector,
@@ -43,39 +44,25 @@ def shephard_todd_smooth(action):
     """True iff the pseudo-reflections generate the whole acting group.
 
     Comparison happens between images in the diagonal matrix group, so
-    factors acting trivially never spoil the verdict.
+    factors acting trivially never spoil the verdict.  The image G is a
+    group of diagonal matrices; the pseudo-reflections moving coordinate
+    i are the nonidentity elements of the subgroup H_i of G fixing every
+    other coordinate.  Elements of distinct H_i move disjoint
+    coordinates, so the reflections generate the direct product of the
+    H_i, a subgroup of G of order prod_i |H_i|, and they generate G iff
+    |G| equals that product.
     """
     if action.torus_rank > 0:
         raise UnsupportedRouteError(
             "the pseudo-reflection criterion applies to finite actions only"
         )
     image = {action_vector(action, e) for e in iter_finite_elements(action)}
-    reflections = {
-        action_vector(action, e) for e in finite_reflection_elements(action)
-    }
-    zero = tuple(0 for _ in range(action.n))
-    generated = {zero}
-    frontier = [zero]
-    while frontier:
-        base = frontier.pop()
-        for r in reflections:
-            candidate = tuple(
-                (a + b) % m if m else 0
-                for a, b, m in zip(base, r, _image_moduli(action))
-            )
-            if candidate not in generated:
-                generated.add(candidate)
-                frontier.append(candidate)
-    return generated == image
-
-
-def _image_moduli(action):
-    from math import lcm
-
-    if not action.finite_orders:
-        return (1,) * action.n
-    L = lcm(*action.finite_orders)
-    return (L,) * action.n
+    orders = [1] * action.n  # |H_i|: the identity and the reflections moving i
+    for v in image:
+        moved = [i for i, x in enumerate(v) if x]
+        if len(moved) == 1:
+            orders[moved[0]] += 1
+    return len(image) == prod(orders)
 
 
 def monoid_smooth(action, bound, grading=None):
