@@ -137,7 +137,8 @@ def pullback_image(action, k, bound, basis=None, grading=None):
     module.  The first, nonzero, is kept unreduced, and the echelon at m
     is built when a second arrives.  Wedges at m have their minors on
     the k-subsets of supp m, so once those kept span all C(|supp m|, k)
-    of them, later ones are dropped without being reduced.
+    of them, later ones are dropped without being reduced; where that
+    cap is 1 the first spans the block and no echelon is built.
     All wedges at one lattice point share its degree, so the cap drops
     whole lattice points and keeps the same wedges below it.  Generators
     are listed by total degree, then in subset order.
@@ -151,7 +152,7 @@ def pullback_image(action, k, bound, basis=None, grading=None):
     if k > action.n:
         return PullbackImage(k, (), (), basis.complete)
     first = {}  # m: the first wedge at m
-    blocks = {}  # m: (echelon, its cap C(|supp m|, k)), from the second on
+    blocks = {}  # m: (echelon or None at cap 1, its cap C(|supp m|, k))
     kept = []
     for m, vec in _wedge_candidates(action, basis, k, max_degree=bound):
         got = blocks.get(m)
@@ -159,10 +160,11 @@ def pullback_image(action, k, bound, basis=None, grading=None):
             if first.setdefault(m, vec) is vec:
                 kept.append((m, vec))
                 continue
-            ech = echelon_of([first[m]], len(vec))
-            got = blocks[m] = ech, comb(len(m) - m.count(0), k)
+            cap = comb(len(m) - m.count(0), k)
+            ech = echelon_of([first[m]], len(vec)) if cap > 1 else None
+            got = blocks[m] = ech, cap
         ech, cap = got
-        if ech.rank < cap and ech.insert(vec) is not None:
+        if ech is not None and ech.rank < cap and ech.insert(vec) is not None:
             kept.append((m, vec))
     kept.sort(key=lambda b: sum(b[0]))
     return PullbackImage(

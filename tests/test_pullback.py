@@ -320,7 +320,8 @@ def test_no_candidate_is_reduced_into_a_full_block(monkeypatch, corpus_dir):
         counts.append((len(points), len(inserted), len(kept)))
     assert full == []
     # (candidates, reductions, kept): a point's first wedge is kept
-    # unreduced and reduced only when a second one arrives there, which
-    # for k = 3 (cap 1) finds the block full; 3 and 77 candidates for
-    # k = 2, 3 meet a full block and are dropped unreduced
-    assert counts == [(10, 0, 10), (45, 30, 35), (105, 25, 28)]
+    # unreduced and reduced only when a second one arrives there, except
+    # where the cap is 1 (3 points for k = 2, all 25 for k = 3) and the
+    # first fills the block; 3 and 77 candidates for k = 2, 3 meet a
+    # full block and are dropped unreduced
+    assert counts == [(10, 0, 10), (45, 27, 35), (105, 0, 28)]
