@@ -4,8 +4,9 @@ Exit codes: 0 completed with verdicts, 1 input error, 2 completed with
 inconclusive flags or stopped by an engine error, 3 golden-file
 mismatch (corpus), 4 theorem-equivalence violation on a certified
 instance (corpus).  Commands raise their input errors as
-`PreconditionError`; `main` alone turns an engine error into an exit
-code, 1 for a `PreconditionError` and 2 for any other `EngineError`.
+`PreconditionError`, and `main` alone maps an engine error to its exit
+code: 1 for a `PreconditionError`, 2 for any other `EngineError`.  A
+spec that cannot be loaded, or a corpus spec that fails, exits 1.
 """
 
 import argparse
