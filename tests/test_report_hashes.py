@@ -4,7 +4,9 @@
 an integer), the sha256 of `report_to_json(strip_timings(...))` for each
 bundled spec.  `tests/data/action_report_sha256.json` holds the same
 hash for a few larger actions outside the corpus, each with its bound.
-A change that alters any report byte fails here.  To re-record after an
+`tests/data/random_report_sha256.json` holds it for each action of a
+seeded random draw, at one bound.  A change that alters any report byte
+fails here.  To re-record after an
 intended change of output, run
 
     PYTHONPATH=src python tests/test_report_hashes.py
@@ -12,6 +14,7 @@ intended change of output, run
 
 import hashlib
 import json
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from invforms.report import report_to_json, run_analysis, strip_timings
 DATA = Path(__file__).parent / "data"
 PINNED = DATA / "corpus_report_sha256.json"
 PINNED_ACTIONS = DATA / "action_report_sha256.json"
+PINNED_RANDOM = DATA / "random_report_sha256.json"
 BOUNDS = ("default", 6)
 # (action, bound): Z3 on n=5 by [1,1,2,2,0] is the benchmark's n5_z3
 # input; Z3 on n=5 by [1,1,1,2,2] at 12 is where seeded blocks skip the
@@ -60,6 +64,37 @@ ACTIONS = (
     ),
 )
 
+# the random draw: n in 2..5, torus rank 0..2, up to two finite factors
+# of order 2..6, weights in [-3, 3]; n stays at most 5 so that the 300
+# analyses take a few seconds
+RANDOM_SEED = 0
+RANDOM_COUNT = 300
+RANDOM_BOUND = 12
+
+
+def random_actions(count=RANDOM_COUNT, seed=RANDOM_SEED):
+    """Action documents drawn from `random.Random(seed)`; the same list in
+    every process, since nothing depends on `hash()` or set order."""
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        rank = rng.randint(0, 2)
+        orders = [rng.randint(2, 6) for _ in range(rng.randint(0, 2))]
+        rows = [
+            [rng.randint(-3, 3) for _ in range(n)]
+            for _ in range(rank + len(orders))
+        ]
+        docs.append(
+            {
+                "n": n,
+                "torus_rank": rank,
+                "finite_orders": orders,
+                "weight_matrix": rows,
+            }
+        )
+    return docs
+
 
 def report_hash(act, bound):
     text = report_to_json(strip_timings(run_analysis(act, bound)))
@@ -86,6 +121,17 @@ def action_hashes():
     ]
 
 
+def random_hashes():
+    return {
+        "seed": RANDOM_SEED,
+        "bound": RANDOM_BOUND,
+        "sha256": [
+            report_hash(action_from_dict(doc), RANDOM_BOUND)
+            for doc in random_actions()
+        ],
+    }
+
+
 def test_corpus_reports_match_pinned_hashes(corpus_dir):
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
     assert sorted(pinned) == sorted(str(b) for b in BOUNDS)
@@ -101,8 +147,15 @@ def test_larger_action_reports_match_pinned_hashes():
     assert action_hashes() == pinned
 
 
+def test_random_action_reports_match_pinned_hashes():
+    pinned = json.loads(PINNED_RANDOM.read_text(encoding="utf-8"))
+    assert len(pinned["sha256"]) == RANDOM_COUNT
+    assert random_hashes() == pinned
+
+
 if __name__ == "__main__":
     corpus = Path(resources.files("invforms").joinpath("corpus"))
     table = {str(b): report_hashes(corpus, b) for b in BOUNDS}
     PINNED.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     PINNED_ACTIONS.write_text(json.dumps(action_hashes(), indent=2) + "\n")
+    PINNED_RANDOM.write_text(json.dumps(random_hashes(), indent=2) + "\n")
