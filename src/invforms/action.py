@@ -11,14 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import lcm, prod
 
-from invforms.errors import (
-    InhomogeneityError,
-    ResourceLimitError,
-    StructuralError,
-    ValidationError,
-)
-from invforms.forms import PolyForm
-from invforms.poly import Polynomial
+from invforms.errors import ResourceLimitError, StructuralError, ValidationError
 
 GROUP_ORDER_GUARD = 10**6
 
@@ -30,28 +23,6 @@ class Weight:
     torus: tuple
     finite: tuple
     orders: tuple
-
-    def _check(self, other):
-        if self.orders != other.orders or len(self.torus) != len(other.torus):
-            raise StructuralError("weights from different grading groups")
-
-    def __add__(self, other):
-        self._check(other)
-        return Weight(
-            tuple(a + b for a, b in zip(self.torus, other.torus)),
-            tuple((a + b) % m for a, b, m in zip(self.finite, other.finite, self.orders)),
-            self.orders,
-        )
-
-    def __neg__(self):
-        return Weight(
-            tuple(-a for a in self.torus),
-            tuple((-a) % m for a, m in zip(self.finite, self.orders)),
-            self.orders,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     @property
     def is_zero(self):
@@ -85,11 +56,6 @@ class ActionSpec:
         """Order of the finite part."""
         return prod(self.finite_orders)
 
-    @property
-    def finite_small(self):
-        """True when no finite-part element acts as a pseudo-reflection."""
-        return finite_part_is_small(self)
-
 
 def make_action(n, torus_rank=0, finite_orders=(), weight_matrix=()):
     """Build and normalize an ActionSpec, validating shapes and orders."""
@@ -103,11 +69,7 @@ def make_action(n, torus_rank=0, finite_orders=(), weight_matrix=()):
 
 
 def validate_action(spec):
-    """Return the normalized spec: finite rows reduced, shapes checked.
-
-    The normalized spec reports smallness of the finite part through
-    its `finite_small` property, for downstream route selection.
-    """
+    """Return the normalized spec: finite rows reduced, shapes checked."""
     if spec.n < 1:
         raise ValidationError(f"need at least one coordinate, got n={spec.n}")
     if spec.torus_rank < 0:
@@ -136,12 +98,6 @@ def validate_action(spec):
     return ActionSpec(spec.n, spec.torus_rank, spec.finite_orders, tuple(rows))
 
 
-def zero_weight(action):
-    return Weight(
-        (0,) * action.torus_rank, (0,) * action.t, action.finite_orders
-    )
-
-
 def weight_of_exponents(action, exps, indices=()):
     """Weight of the monomial form x^exps dx_I (I may be empty)."""
     if len(exps) != action.n:
@@ -160,38 +116,6 @@ def weight_of_exponents(action, exps, indices=()):
         for j, m in enumerate(action.finite_orders)
     )
     return Weight(torus, finite, action.finite_orders)
-
-
-def weight_of_monomial(action, exps):
-    return weight_of_exponents(action, exps)
-
-
-def weight_of_form(action, form):
-    """Common weight of a homogeneous form; error naming two weights otherwise."""
-    found = None
-    for I, exps, _ in form.terms():
-        w = weight_of_exponents(action, exps, I)
-        if found is None:
-            found = w
-        elif w != found:
-            raise InhomogeneityError(
-                f"form mixes weights {found} and {w}", weight_a=found, weight_b=w
-            )
-    return found if found is not None else zero_weight(action)
-
-
-def invariant_component(action, form):
-    """Projection onto the weight-zero part (term by term); idempotent."""
-    comps = {}
-    for I, exps, c in form.terms():
-        if weight_of_exponents(action, exps, I).is_zero:
-            p = comps.setdefault(I, {})
-            p[exps] = c
-    return PolyForm(
-        form.n,
-        form.degree,
-        {I: Polynomial(form.n, terms) for I, terms in comps.items()},
-    )
 
 
 # --- finite part as a group of diagonal matrices ---------------------------

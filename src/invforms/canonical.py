@@ -24,7 +24,6 @@ therefore also the union of the Hilbert-basis supports.
 
 from invforms.action import finite_reflection_elements
 from invforms.invariants import (
-    HilbertSeries,
     hilbert_series_of,
     invariant_form_generators,
     quotient_dimension,
@@ -43,17 +42,15 @@ def canonical_invariants(action, bound, grading=None):
 
 def toric_canonical_series(action, truncation, grading=None):
     """Counts of weight-zero monomials interior to the monoid cone, by
-    degree up to `truncation`."""
+    degree 0..truncation, as a tuple."""
     if grading is None:
         grading = Grading(action)
     used = set()
     for g in grading.rays:
         used.update(support(g))
-    return HilbertSeries(
-        tuple(
-            sum(used.issubset(s) for _, s in grading.weight_zero(d))
-            for d in range(truncation + 1)
-        )
+    return tuple(
+        sum(used.issubset(s) for _, s in grading.weight_zero(d))
+        for d in range(truncation + 1)
     )
 
 
@@ -90,9 +87,9 @@ def canonical_comparison(action, truncation, grading=None):
     return {
         "dimension": quotient_dimension(action, grading),
         "generator_degrees": list(module.generator_degrees),
-        "series_invariant_forms": list(forms.coefficients),
-        "series_toric_interior": list(toric.coefficients),
-        "match": forms.coefficients == toric.coefficients,
+        "series_invariant_forms": list(forms),
+        "series_toric_interior": list(toric),
+        "match": forms == toric,
         "identification_certified": certified,
         "caveat": reason,
     }

@@ -41,9 +41,6 @@ class EulerOperator:
                 f"torus index {self.torus_index} outside rank {self.action.torus_rank}"
             )
 
-    def __call__(self, form):
-        return euler_contract(self, form)
-
 
 def euler_contract(op, form):
     """Apply the Euler operator; degree k -> k-1, O_X-linear.
@@ -67,22 +64,6 @@ def euler_contract(op, form):
                 coeff = -coeff
             out = out + PolyForm(form.n, k - 1, {I[:r] + I[r + 1 :]: coeff})
     return out
-
-
-def dmu(action, form):
-    """All torus contractions of the form, one per torus factor.
-
-    The returned list is empty exactly when the torus rank is zero, in
-    which case every form is horizontal.
-    """
-    return [
-        euler_contract(EulerOperator(action, j), form)
-        for j in range(action.torus_rank)
-    ]
-
-
-def is_horizontal(action, form):
-    return all(c.is_zero for c in dmu(action, form))
 
 
 def horizontal_piece(action, k, degree, weight, grading=None):

@@ -92,19 +92,6 @@ def quotient_dimension(action, grading=None):
 
 
 @dataclass(frozen=True)
-class HilbertSeries:
-    """Weight-zero piece dimensions per total degree, 0..D."""
-
-    coefficients: tuple
-
-    def __getitem__(self, d):
-        return self.coefficients[d]
-
-    def __len__(self):
-        return len(self.coefficients)
-
-
-@dataclass(frozen=True)
 class GradedSubmodule:
     """Minimal generators, over the invariant ring, of a module of k-forms.
 
@@ -112,7 +99,9 @@ class GradedSubmodule:
     degree <= generator_bound; `basis_complete` records whether the
     invariant-ring generators themselves were certified at that bound.
     Generators are kept as (lattice point, block vector) pairs in
-    `generator_blocks`; `generators` builds them as forms on first use.
+    `generator_blocks`, with their total degrees in `generator_degrees`;
+    the engine reads only these, and `generators` builds the same
+    generators as forms on first use.
     """
 
     form_degree: int
@@ -176,29 +165,27 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
 
 
 def invariant_ring_series(action, truncation, grading=None):
-    """Direct count of weight-zero monomials per degree (the honest series)."""
+    """Direct count of weight-zero monomials per degree 0..truncation
+    (the honest series), as a tuple."""
     if grading is None:
         grading = Grading(action)
-    return HilbertSeries(
-        tuple(len(grading.weight_zero(d)) for d in range(truncation + 1))
-    )
+    return tuple(len(grading.weight_zero(d)) for d in range(truncation + 1))
 
 
 def hilbert_series_of(module, action, truncation, grading=None):
-    """Per-degree weight-zero dimensions of the invariant-ring span of
-    a GradedSubmodule, block by block (`pieces.BlockModule`)."""
+    """Per-degree weight-zero dimensions, 0..truncation, of the
+    invariant-ring span of a GradedSubmodule, block by block
+    (`pieces.BlockModule`), as a tuple."""
     if grading is None:
         grading = Grading(action)
     k = module.form_degree
     sweep = BlockModule(
         grading, k, lambda s: comb(len(s), k), module.generator_blocks
     )
-    return HilbertSeries(
-        tuple(
-            sum([
-                comb(len(s), k) if ech is None else ech.rank
-                for _, s, ech in sweep.blocks(d)
-            ])
-            for d in range(truncation + 1)
-        )
+    return tuple(
+        sum([
+            comb(len(s), k) if ech is None else ech.rank
+            for _, s, ech in sweep.blocks(d)
+        ])
+        for d in range(truncation + 1)
     )

@@ -1,8 +1,8 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything is done fraction-free over the integers: rows of Fractions
-are scaled to primitive integer rows.  Arithmetic is on Python ints,
-so entries may grow arbitrarily large.
+Everything is done fraction-free over the integers: rows are integer
+rows, kept primitive.  Arithmetic is on Python ints, so entries may
+grow arbitrarily large.
 
 A row is reduced against the echelon rows in one pass, with one content
 division at the end.  Eliminating pivot column p scales the row by the
@@ -26,18 +26,6 @@ from math import gcd, lcm
 BACKEND = "pure"
 
 
-def int_row(row):
-    """Scale a row of Fractions/ints to a row of ints (common denominator)."""
-    den = 1
-    for x in row:
-        d = x.denominator  # 1 for ints
-        if d != 1:
-            den = lcm(den, d)
-    if den == 1:
-        return [x if type(x) is int else int(x) for x in row]
-    return [int(x * den) for x in row]
-
-
 class Echelon:
     """Incremental reduced row echelon form of a growing row set.
 
@@ -58,23 +46,20 @@ class Echelon:
         return len(self.rows)
 
     def _reduce(self, row):
-        """(residual, lead column) of `row` (Fractions/ints): the
-        primitive residual with a positive leading entry, or None when
-        `row` is in the span."""
+        """(residual, lead column) of the integer `row`: the primitive
+        residual with a positive leading entry, or None when `row` is in
+        the span."""
         cur = list(row)
-        try:
-            for erow, p in zip(self.rows, self.pivots):
-                c = cur[p]
-                if c:
-                    a = erow[p]
-                    g = gcd(a, c)
-                    if g > 1:
-                        a //= g
-                        c //= g
-                    cur = [a * x - c * y for x, y in zip(cur, erow)]
-            g = gcd(*cur)
-        except TypeError:  # gcd of a Fraction: reduce the row's int scaling
-            return self._reduce(int_row(row))
+        for erow, p in zip(self.rows, self.pivots):
+            c = cur[p]
+            if c:
+                a = erow[p]
+                g = gcd(a, c)
+                if g > 1:
+                    a //= g
+                    c //= g
+                cur = [a * x - c * y for x, y in zip(cur, erow)]
+        g = gcd(*cur)
         if not g:
             return None
         for lead, x in enumerate(cur):
@@ -108,9 +93,6 @@ class Echelon:
                 g = gcd(*r)
                 rows[i] = r if g == 1 else [x // g for x in r]
         return lead
-
-    def contains(self, row):
-        return self._reduce(row) is None
 
     def kernel_basis(self):
         """Primitive integer basis of {v : r . v = 0 for every row r}.

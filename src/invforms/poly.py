@@ -91,9 +91,6 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             if not isinstance(other, (int, Fraction)):

@@ -26,14 +26,13 @@ class PullbackImage:
     """Wedge generators of the pullback image of the quotient k-forms.
 
     Each generator is kept as its lattice point and Plücker vector
-    (`generator_blocks`, see `pieces`); `wedge_generators` are the same
-    wedges as forms, built on first use.
+    (`generator_blocks`, see `pieces`), listed by total degree; the
+    engine reads only these.  `wedge_generators` are the same wedges as
+    forms, built on first use.
     """
 
     k: int
     generator_blocks: tuple
-    generator_degrees: tuple
-    certified: bool
 
     @cached_property
     def wedge_generators(self):
@@ -150,7 +149,7 @@ def pullback_image(action, k, bound, basis=None, grading=None):
     if basis is None:
         basis = monoid_basis(grading, bound)
     if k > action.n:
-        return PullbackImage(k, (), (), basis.complete)
+        return PullbackImage(k, ())
     first = {}  # m: the first wedge at m
     blocks = {}  # m: (echelon or None at cap 1, its cap C(|supp m|, k))
     kept = []
@@ -167,9 +166,7 @@ def pullback_image(action, k, bound, basis=None, grading=None):
         if ech is not None and ech.rank < cap and ech.insert(vec) is not None:
             kept.append((m, vec))
     kept.sort(key=lambda b: sum(b[0]))
-    return PullbackImage(
-        k, tuple(kept), tuple(sum(m) for m, _ in kept), basis.complete
-    )
+    return PullbackImage(k, tuple(kept))
 
 
 def target_generator_bound(action, k, basis):

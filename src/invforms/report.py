@@ -113,7 +113,7 @@ def run_analysis(action, max_degree=None, form_degrees=None):
         "hilbert": {
             "basis": [list(g) for g in basis.generators],
             "complete": basis.complete,
-            "series_invariant_ring": list(series.coefficients),
+            "series_invariant_ring": list(series),
         },
         "quotient_dim": dim_y,
         "surjectivity": surj_section,

@@ -10,34 +10,12 @@ they agree.
 from dataclasses import dataclass
 from math import prod
 
-from invforms.action import (
-    action_vector,
-    finite_reflection_elements,
-    iter_finite_elements,
-    moved_coordinates,
-)
+from invforms.action import action_vector, iter_finite_elements, moved_coordinates
 from invforms.cones import congruence_lattice_basis, same_lattice
 from invforms.errors import InternalCheckError, UnsupportedRouteError
 from invforms.invariants import monoid_basis, quotient_dimension
 from invforms.pieces import Grading
 from invforms.pullback import surjectivity_check
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of the finite part, one residue per cyclic factor."""
-
-    exponents: tuple
-
-
-def pseudo_reflections(action):
-    """All finite-group elements acting with exactly one moved coordinate."""
-    if action.torus_rank > 0:
-        raise UnsupportedRouteError(
-            "pseudo-reflection enumeration applies to finite actions only; "
-            "use the monoid route for torus factors"
-        )
-    return [GroupElement(e) for e in finite_reflection_elements(action)]
 
 
 def shephard_todd_smooth(action):

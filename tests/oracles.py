@@ -3,7 +3,9 @@
 Nothing here may call into the engine's linear algebra or enumeration
 helpers: ranks are naive Gaussian elimination over Fractions, monomial
 enumeration goes through itertools.product, weights are recomputed
-from the raw matrix.  The exceptions are `piecewide_cokernel_table`
+from the raw matrix (`weight_of_form`).  `is_horizontal` applies the
+engine's contraction operators, checked on their own in
+`test_euler.py`.  The other exceptions are `piecewide_cokernel_table`
 and `piecewide_homology`, the engine's former piece-wide routes, kept
 to check the block routes against: they read piece bases from
 `piece_keys` and reduce with `Echelon`, both checked against brute
@@ -24,6 +26,8 @@ is the engine's former row reduction, which divided out the content
 after every elimination step, and `dense_wedge_candidates` its former
 wedge builder, which summed every term of every minor; the engine's
 one-pass reduction and sparse wedges are checked against them.
+`Echelon` takes integer rows, so the oracles scale form coordinates,
+which are Fractions, with `int_row` before reducing them.
 """
 
 from bisect import bisect_left
@@ -96,6 +100,46 @@ def brute_weight(weight_matrix, torus_rank, finite_orders, exps):
         for j, m in enumerate(finite_orders)
     )
     return torus, finite
+
+
+def zero_weight(action):
+    """The weight of a constant, as an engine `Weight`."""
+    from invforms.action import Weight
+
+    return Weight((0,) * action.torus_rank, (0,) * action.t, action.finite_orders)
+
+
+def weight_of_form(action, form):
+    """Common weight of a homogeneous form, as an engine `Weight` read off
+    the raw matrix (dx_i weighs as x_i); the zero form has weight zero,
+    and a form mixing two weights raises an `InhomogeneityError` naming
+    them."""
+    from invforms.action import Weight
+    from invforms.errors import InhomogeneityError
+
+    raw = action.weight_matrix, action.torus_rank, action.finite_orders
+    found = None
+    for I, exps, _ in form.terms():
+        shifted = [e + (i in I) for i, e in enumerate(exps)]
+        w = Weight(*brute_weight(*raw, shifted), action.finite_orders)
+        if found is None:
+            found = w
+        elif w != found:
+            raise InhomogeneityError(
+                f"form mixes weights {found} and {w}", weight_a=found, weight_b=w
+            )
+    return zero_weight(action) if found is None else found
+
+
+def is_horizontal(action, form):
+    """Whether every torus contraction kills the form (the engine's
+    `euler_contract`, checked in `test_euler.py`)."""
+    from invforms.euler import EulerOperator, euler_contract
+
+    return all(
+        euler_contract(EulerOperator(action, j), form).is_zero
+        for j in range(action.torus_rank)
+    )
 
 
 def brute_weight0_monomials(weight_matrix, torus_rank, finite_orders, n, d):
@@ -302,7 +346,6 @@ def piecewide_cokernel_table(action, k, bound, basis):
     on the piece; the witness is the first kernel vector of the pairing
     between image rows and the target's canonical kernel basis.
     """
-    from invforms.action import zero_weight
     from invforms.euler import EulerOperator, euler_contract
     from invforms.forms import PolyForm
     from invforms.linalg import echelon_of
@@ -334,14 +377,14 @@ def piecewide_cokernel_table(action, k, bound, basis):
                 coords = form_to_vector(img, tgt_positions, len(tgt_keys))
                 for i, c in enumerate(coords):
                     equations[j * len(tgt_keys) + i][b] = c
-        target = echelon_of(equations, len(keys)).kernel_basis()
+        target = echelon_of(map(int_row, equations), len(keys)).kernel_basis()
         image = []
         for dw, terms in wedges:
             for e in shifts[d - dw] if dw <= d else ():
                 row = [0] * len(keys)
                 for I, exps, c in terms:
                     row[positions[(I, tuple(a + b for a, b in zip(exps, e)))]] = c
-                image.append(row)
+                image.append(int_row(row))
         image_rows = echelon_of(image, len(keys)).rows
         coker = len(target) - len(image_rows)
         rows.append((d, len(target), len(image_rows), coker))
@@ -421,7 +464,8 @@ def piecewide_homology(action, weight, degree, restrict, torus_index):
             tgt_positions = {key: i for i, key in enumerate(tgt_keys)}
             rows = _euler_rows(action, keys, tgt_positions, others)
             equations = [
-                [rows[b][i] for b in range(len(keys))] for i in range(len(rows[0]))
+                int_row([rows[b][i] for b in range(len(keys))])
+                for i in range(len(rows[0]))
             ]
             vectors = echelon_of(equations, len(keys)).kernel_basis()
         else:
@@ -438,7 +482,9 @@ def piecewide_homology(action, weight, degree, restrict, torus_index):
         ech = Echelon(max(len(tgt_keys), 1))
         for v in vectors:
             img = euler_contract(op, vector_to_form(n, k, v, keys))
-            ech.insert(form_to_vector(img, tgt_positions, max(len(tgt_keys), 1)))
+            ech.insert(
+                int_row(form_to_vector(img, tgt_positions, max(len(tgt_keys), 1)))
+            )
         ranks[k] = ech.rank
 
     dims = tuple(len(piece[k][1]) for k in range(n + 1))
@@ -603,7 +649,7 @@ def block_span(gens, m, ncols, full):
     for vec in dominated(gens, m):
         if ech.rank == full:
             break
-        ech.insert(vec)
+        ech.insert(int_row(vec))
     return ech
 
 
@@ -615,7 +661,6 @@ def unsaturated_form_generators(action, k, horizontal, bound):
     from math import comb
     from operator import itemgetter
 
-    from invforms.action import zero_weight
     from invforms.euler import horizontal_block, torus_rows
     from invforms.pieces import Grading, block_key, support
 
@@ -650,7 +695,6 @@ def unsaturated_series_of(action, k, generator_blocks, truncation):
     scratch."""
     from math import comb
 
-    from invforms.action import zero_weight
     from invforms.pieces import Grading, support
 
     grading = Grading(action)
@@ -698,7 +742,9 @@ def reduce_row(row, rows, pivots):
     return normalize_row(cur)
 
 
-def _int_row(row):
+def int_row(row):
+    """A row of Fractions or ints scaled by its least common denominator
+    to a row of ints (`Echelon` takes integer rows)."""
     den = 1
     for x in row:
         den = lcm(den, Fraction(x).denominator)
@@ -718,7 +764,7 @@ class ReferenceEchelon:
         return len(self.rows)
 
     def residual(self, row):
-        return reduce_row(_int_row(row), self.rows, self.pivots)
+        return reduce_row(int_row(row), self.rows, self.pivots)
 
     def insert(self, row):
         red = self.residual(row)
@@ -737,9 +783,6 @@ class ReferenceEchelon:
                 )
         return lead
 
-    def contains(self, row):
-        return not any(self.residual(row))
-
     def kernel_basis(self):
         """One primitive kernel vector per free column, ascending, with a
         positive free coordinate; solved over Fractions."""
@@ -751,7 +794,7 @@ class ReferenceEchelon:
             vec[f] = Fraction(1)
             for r, p in zip(self.rows, self.pivots):
                 vec[p] = Fraction(-r[f], r[p])
-            vec = _int_row(vec)
+            vec = int_row(vec)
             g = gcd(*vec)
             basis.append([x // g for x in vec])
         return basis

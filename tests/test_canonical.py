@@ -53,9 +53,9 @@ def test_canonical_free_rank_one_on_smooth_instances():
 
 
 def test_toric_canonical_series_examples():
-    assert toric_canonical_series(Z2, 4).coefficients == (0, 0, 1, 0, 3)
-    assert toric_canonical_series(Z2R, 3).coefficients == (0, 0, 0, 1)
-    assert toric_canonical_series(T, 4).coefficients == (0, 0, 1, 0, 1)
+    assert toric_canonical_series(Z2, 4) == (0, 0, 1, 0, 3)
+    assert toric_canonical_series(Z2R, 3) == (0, 0, 0, 1)
+    assert toric_canonical_series(T, 4) == (0, 0, 1, 0, 1)
 
 
 @given(actions())
@@ -73,7 +73,7 @@ def test_interior_by_support_matches_facets(act):
         )
         for d in range(9)
     )
-    assert toric_canonical_series(act, 8, grading).coefficients == want
+    assert toric_canonical_series(act, 8, grading) == want
 
 
 def _certified_match(act, truncation):

@@ -4,9 +4,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from invforms.action import load_action, make_action, weight_of_form, zero_weight
+from invforms.action import load_action, make_action
 from invforms.errors import PreconditionError
-from invforms.euler import is_horizontal
 from invforms.forms import PolyForm
 from invforms.invariants import (
     GradedSubmodule,
@@ -28,9 +27,13 @@ from invforms.poly import Polynomial
 from oracles import (
     actions,
     brute_weight0_monomials,
+    int_row,
+    is_horizontal,
     subring_series,
     unsaturated_form_generators,
     unsaturated_series_of,
+    weight_of_form,
+    zero_weight,
 )
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])
@@ -114,13 +117,13 @@ def test_quotient_dimension():
 
 
 def test_invariant_ring_series_examples():
-    assert invariant_ring_series(Z2, 4).coefficients == (1, 0, 3, 0, 5)
-    assert invariant_ring_series(T, 4).coefficients == (1, 0, 1, 0, 1)
+    assert invariant_ring_series(Z2, 4) == (1, 0, 3, 0, 5)
+    assert invariant_ring_series(T, 4) == (1, 0, 1, 0, 1)
 
 
 def test_series_of_zero_module():
     empty = GradedSubmodule(1, (), (), 4, True)
-    assert hilbert_series_of(empty, Z2, 4).coefficients == (0, 0, 0, 0, 0)
+    assert hilbert_series_of(empty, Z2, 4) == (0, 0, 0, 0, 0)
 
 
 def test_series_of_unsorted_generators(corpus_dir):
@@ -132,9 +135,9 @@ def test_series_of_unsorted_generators(corpus_dir):
         generator_blocks=sub.generator_blocks[::-1],
         generator_degrees=sub.generator_degrees[::-1],
     )
-    series = hilbert_series_of(sub, act, 10).coefficients
+    series = hilbert_series_of(sub, act, 10)
     assert series[:6] == (0, 0, 2, 4, 6, 9)
-    assert hilbert_series_of(backwards, act, 10).coefficients == series
+    assert hilbert_series_of(backwards, act, 10) == series
 
 
 def test_form_generators_z2():
@@ -191,11 +194,8 @@ def test_generators_minimality():
                 if d < dg:
                     continue
                 for exps in monomials_with_weight(act, d - dg, w0):
-                    ech.insert(
-                        form_to_vector(
-                            g * Polynomial.monomial(act.n, exps), positions, len(keys)
-                        )
-                    )
+                    f = g * Polynomial.monomial(act.n, exps)
+                    ech.insert(int_row(form_to_vector(f, positions, len(keys))))
             dims.append(ech.rank)
         return dims
 
@@ -212,7 +212,7 @@ def test_series_of_module_matches_piece_dimensions():
     series = hilbert_series_of(sub, Z2, 6)
     # pieces of the invariant 1-forms have dimension 2*(d-1 monomials)
     # in even total degree d
-    assert series.coefficients == (0, 0, 4, 0, 8, 0, 12)
+    assert series == (0, 0, 4, 0, 8, 0, 12)
 
 
 # torus [1, -1, 0] and Z2 [0, 0, 1]: z^2 is invariant, so blocks at
@@ -233,7 +233,7 @@ def test_saturated_sweeps_match_the_unsaturated_ones(act, horizontal):
         blocks, degrees = unsaturated_form_generators(act, k, horizontal, bound)
         assert sub.generator_blocks == blocks
         assert sub.generator_degrees == degrees
-        series = hilbert_series_of(sub, act, bound, grading).coefficients
+        series = hilbert_series_of(sub, act, bound, grading)
         assert series == unsaturated_series_of(act, k, blocks, bound)
 
 

@@ -1,7 +1,6 @@
 """Exact row reduction: correctness against a naive oracle."""
 
 import random
-from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
@@ -52,27 +51,6 @@ def test_rref_is_canonical_under_row_shuffles():
         assert ech1.pivots == ech2.pivots
 
 
-def test_fraction_rows_are_scaled():
-    ech = Echelon(2)
-    assert ech.insert([Fraction(1, 2), Fraction(1, 3)]) == 0
-    assert ech.rows == [[3, 2]]
-    assert ech.contains([3, 2])
-    assert ech.contains([Fraction(3, 7), Fraction(2, 7)])
-    assert not ech.contains([1, 0])
-
-
-def test_contains_and_insert_are_consistent():
-    rng = random.Random(17)
-    for _ in range(30):
-        ncols = rng.randint(2, 6)
-        ech = Echelon(ncols)
-        rows = random_matrix(rng, 5, ncols)
-        for row in rows:
-            before = ech.contains(row)
-            pivot = ech.insert(row)
-            assert (pivot is None) == before
-
-
 def test_bignum_entries_survive():
     big = 10**40
     ech = Echelon(2)
@@ -84,17 +62,16 @@ def test_bignum_entries_survive():
 
 
 SMALL = st.integers(-4, 4)
-FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 BIG = st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
 
 
 @st.composite
 def row_lists(draw):
-    """Rows of small ints, of Fractions, or of ints mixed with entries of
-    at least 2^64 in absolute value; some are combinations of earlier
-    rows, so insertion also meets dependent rows."""
+    """Rows of small ints, or of ints mixed with entries of at least 2^64
+    in absolute value; some are combinations of earlier rows, so
+    insertion also meets dependent rows."""
     ncols = draw(st.integers(0, 8))
-    entry = draw(st.sampled_from([SMALL, FRACTIONS, SMALL | BIG]))
+    entry = draw(st.sampled_from([SMALL, SMALL | BIG]))
     rows = []
     for _ in range(draw(st.integers(1, 10))):
         if rows and draw(st.booleans()):
@@ -112,7 +89,6 @@ def test_one_pass_reduction_matches_the_reference(case):
     ncols, rows = case
     ech, ref = Echelon(ncols), ReferenceEchelon(ncols)
     for row in rows:
-        assert ech.contains(row) == ref.contains(row)
         assert ech.insert(row) == ref.insert(row)
         assert ech.rows == ref.rows
         assert ech.pivots == ref.pivots

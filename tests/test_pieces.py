@@ -7,7 +7,7 @@ from time import perf_counter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from invforms.action import Weight, load_action, make_action, zero_weight
+from invforms.action import Weight, load_action, make_action
 from invforms.errors import ResourceLimitError
 from invforms.euler import homology_all_weights, horizontal_block, torus_rows
 from invforms.invariants import invariant_form_generators, monoid_basis
@@ -33,6 +33,7 @@ from oracles import (
     brute_pieces,
     brute_weight0_monomials,
     frac_rank,
+    zero_weight,
 )
 
 Z2 = make_action(2, finite_orders=[2], weight_matrix=[[1, 1]])

@@ -5,6 +5,8 @@ from hypothesis import assume, example, given
 
 from invforms.action import (
     action_vector,
+    finite_part_is_small,
+    finite_reflection_elements,
     iter_finite_elements,
     load_action,
     make_action,
@@ -16,7 +18,6 @@ from invforms.pullback import target_generator_bound
 from invforms.smoothness import (
     isolated_singularity_certificate,
     monoid_smooth,
-    pseudo_reflections,
     shephard_todd_smooth,
     smoothness_verdict,
 )
@@ -29,22 +30,20 @@ T = make_action(2, torus_rank=1, weight_matrix=[[1, -1]])
 
 
 def test_pseudo_reflections_examples():
-    assert pseudo_reflections(Z2) == []
-    assert [r.exponents for r in pseudo_reflections(Z2R)] == [(1,)]
-    assert [r.exponents for r in pseudo_reflections(Z6)] == [(2,), (4,)]
+    assert finite_reflection_elements(Z2) == []
+    assert finite_reflection_elements(Z2R) == [(1,)]
+    assert finite_reflection_elements(Z6) == [(2,), (4,)]
 
 
 def test_pseudo_reflections_closed_under_inversion():
     for act in [Z2R, Z6, make_action(2, finite_orders=[4], weight_matrix=[[2, 1]])]:
-        refl = {r.exponents for r in pseudo_reflections(act)}
+        refl = set(finite_reflection_elements(act))
         for e in refl:
             inv = tuple((-c) % m for c, m in zip(e, act.finite_orders))
             assert inv in refl
 
 
 def test_pseudo_reflections_needs_finite_action():
-    with pytest.raises(UnsupportedRouteError):
-        pseudo_reflections(T)
     with pytest.raises(UnsupportedRouteError):
         shephard_todd_smooth(T)
 
@@ -71,7 +70,7 @@ def test_shephard_todd_examples():
     # confirmed by the brute-force subgroup oracle: reflections of
     # Z/6 (1,3) generate a subgroup of order 3 inside the order-6 image
     assert not shephard_todd_smooth(Z6)
-    refl = [r.exponents for r in pseudo_reflections(Z6)]
+    refl = finite_reflection_elements(Z6)
     sub = brute_subgroup_generated(Z6, refl)
     image = {
         action_vector(Z6, (c,)) for c in range(6)
@@ -108,7 +107,7 @@ def _finite_grid():
 def test_shephard_todd_matches_the_subgroup_closure():
     verdicts = []
     for act in _finite_grid():
-        reflections = [r.exponents for r in pseudo_reflections(act)]
+        reflections = finite_reflection_elements(act)
         image = {action_vector(act, e) for e in iter_finite_elements(act)}
         want = brute_subgroup_generated(act, reflections) == image
         assert shephard_todd_smooth(act) == want, act
@@ -206,13 +205,13 @@ def test_group_order_guard():
         2, finite_orders=[101, 101, 101], weight_matrix=[[1, 0], [0, 1], [1, 1]]
     )
     with pytest.raises(ResourceLimitError):
-        pseudo_reflections(act)
+        finite_reflection_elements(act)
 
 
 def test_validate_reports_smallness():
-    assert Z2.finite_small
-    assert not Z2R.finite_small
-    assert not make_action(2, finite_orders=[6], weight_matrix=[[1, 3]]).finite_small
+    assert finite_part_is_small(Z2)
+    assert not finite_part_is_small(Z2R)
+    assert not finite_part_is_small(Z6)
 
 
 def test_isolated_certificate():
