@@ -6,7 +6,8 @@ mismatch (corpus), 4 theorem-equivalence violation on a certified
 instance (corpus).  Commands raise their input errors as
 `PreconditionError`, and `main` alone maps an engine error to its exit
 code: 1 for a `PreconditionError`, 2 for any other `EngineError`.  A
-spec that cannot be loaded, or a corpus spec that fails, exits 1.
+spec that cannot be loaded exits 1.  `corpus` stops at the first spec
+that fails, naming its path, with the same codes.
 """
 
 import argparse
@@ -117,13 +118,14 @@ def cmd_analyze(args):
 
 
 def _corpus_worker(item):
-    """(name, report, None), or (name, None, message) when the spec is
-    malformed or the analysis raises an engine error."""
+    """(name, report, None), or (name, None, exc) when the spec is
+    malformed or the analysis raises the engine error `exc`; both kinds
+    pickle, so they come back from a pool worker."""
     name, path, max_degree = item
     try:
         report = run_analysis(load_action(path), max_degree=max_degree)
     except (EngineError, json.JSONDecodeError) as exc:
-        return name, None, f"{path}: {exc}"
+        return name, None, exc
     return name, report, None
 
 
@@ -146,10 +148,15 @@ def cmd_corpus(args):
     else:
         done = map(_corpus_worker, items)
     results = {}
-    for name, report, error in done:
+    for path, (name, report, error) in zip(specs, done):
         if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+            print(f"error: {path}: {error}", file=sys.stderr)
+            # as in `main`, except that a spec that cannot be loaded is
+            # an input error too
+            unloadable = (json.JSONDecodeError, ValidationError)
+            if isinstance(error, unloadable + (PreconditionError,)):
+                return 1
+            return 2
         results[name] = report
 
     violations = []

@@ -205,6 +205,30 @@ def test_corpus_error_names_the_spec(tmp_path, capsys, jobs):
     assert f"error: {bad}: finite order m_1 = 0 must be at least 2" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_exit_code_follows_the_error(corpus_dir, tmp_path, capsys, jobs):
+    # as in analyze: an engine error exits 2, a precondition 1, and a
+    # spec that cannot be loaded 1; under --jobs 2 the error comes back
+    # from a pool worker
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    spec = cdir / "z2_10.json"
+    spec.write_text((corpus_dir / "z2_10.json").read_text(), encoding="utf-8")
+    argv = ["corpus", str(cdir), "--jobs", jobs]
+    assert run(argv + ["--max-degree", "40000"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: degree 40000 does not fit a 16-bit packed "
+        "coordinate; degrees stop at 32767\n"
+    )
+    assert run(argv + ["--max-degree", "0"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {spec}: bound must be at least 1, got 0\n"
+    )
+    spec.write_text("{", encoding="utf-8")
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {spec}: Expecting")
+
+
 def test_corpus_pool_has_no_more_workers_than_specs(
     monkeypatch, tmp_path, capsys
 ):
