@@ -33,7 +33,7 @@ which are Fractions, with `int_row` before reducing them.
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, le, mul
 
 from hypothesis import strategies as st
@@ -431,6 +431,35 @@ def _unit(ncols, i):
     v = [0] * ncols
     v[i] = 1
     return v
+
+
+def contraction_homology(weight_matrix, torus_index, n, d):
+    """(dims, homology) of the contraction complex of torus row
+    `torus_index` in total degree d, summed over every weight, with no
+    restriction: a closed form over supports.
+
+    For d >= 1, each of the C(d-1, |S|-1) monomials of degree d with
+    support S, S nonempty, spans C(|S|, k) forms of form degree k at
+    its lattice point.  There the complex is the Koszul complex of the
+    row restricted to S: exact unless that restriction vanishes, and
+    then every differential is zero.  In degree 0 only the constant is
+    left, and no row contracts it.
+    """
+    dims = [0] * (n + 1)
+    homology = [0] * (n + 1)
+    if d == 0:
+        dims[0] = homology[0] = 1
+        return tuple(dims), tuple(homology)
+    row = weight_matrix[torus_index]
+    for size in range(1, n + 1):
+        for S in combinations(range(n), size):
+            points = comb(d - 1, size - 1)
+            dead = not any(row[i] for i in S)
+            for k in range(size + 1):
+                dims[k] += points * comb(size, k)
+                if dead:
+                    homology[k] += points * comb(size, k)
+    return tuple(dims), tuple(homology)
 
 
 def piecewide_homology(action, weight, degree, restrict, torus_index):

@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 
-from invforms.action import make_action, Weight
+from invforms.action import load_action, make_action, Weight
 from invforms.errors import InhomogeneityError, PreconditionError
 from invforms.euler import (
     EulerOperator,
@@ -19,8 +20,9 @@ from invforms.linalg import Echelon
 from invforms.poly import Polynomial
 from oracles import (
     actions,
-    is_horizontal,
+    contraction_homology,
     int_row,
+    is_horizontal,
     piecewide_homology,
     random_monomial_form,
     weight_of_form,
@@ -271,3 +273,21 @@ def test_homology_matches_the_piecewide_route(act):
                     got = euler_homology(act, w, d, restrict, j, grading=grading)
                     want = piecewide_homology(act, w, d, restrict, j)
                     assert (got.dims, got.homology) == want
+
+
+PERFBENCH_SPECS = Path(__file__).parent.parent / "perfbench" / "specs"
+
+
+def test_unrestricted_homology_matches_the_closed_form(corpus_dir):
+    specs = sorted(corpus_dir.glob("*.json")) + sorted(PERFBENCH_SPECS.glob("*.json"))
+    cases = 0
+    for path in specs:
+        act = load_action(path)
+        for j in range(act.torus_rank):
+            for d in range(8):
+                got = homology_all_weights(act, d, torus_index=j)
+                want = contraction_homology(act.weight_matrix, j, act.n, d)
+                assert (got.dims, got.homology) == want, (path.stem, j, d)
+                cases += 1
+    # 13 (spec, torus index) pairs, each at degrees 0..7
+    assert cases == 104
