@@ -151,12 +151,10 @@ def cmd_corpus(args):
     for path, (name, report, error) in zip(specs, done):
         if error is not None:
             print(f"error: {path}: {error}", file=sys.stderr)
-            # as in `main`, except that a spec that cannot be loaded is
-            # an input error too
-            unloadable = (json.JSONDecodeError, ValidationError)
-            if isinstance(error, unloadable + (PreconditionError,)):
-                return 1
-            return 2
+            # 1 for a spec that cannot be loaded or a precondition, as
+            # `_load` and `main` give; 2 for any other engine error
+            input_errors = (json.JSONDecodeError, ValidationError, PreconditionError)
+            return 1 if isinstance(error, input_errors) else 2
         results[name] = report
 
     violations = []
