@@ -29,8 +29,10 @@ BOUNDS = ("default", 6)
 # (action, bound): Z3 on n=5 by [1,1,2,2,0] is the benchmark's n5_z3
 # input; Z3 on n=5 by [1,1,1,2,2] at 12 is where seeded blocks skip the
 # most reductions; the next two have certificate bounds 280 and 480,
-# far above the bound asked for; the last two are torus actions at
-# their certificate bounds, where every verdict is certified
+# far above the bound asked for; the next two are torus actions at
+# their certificate bounds, where every verdict is certified; Z3 x Z3 on
+# n=6 at 14 has a coordinate-symmetry group of order 12, the most orbit
+# sharing among these
 ACTIONS = (
     ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 2, 2, 0]]}, 7),
     ({"n": 5, "finite_orders": [3], "weight_matrix": [[1, 1, 1, 2, 2]]}, 8),
@@ -61,6 +63,14 @@ ACTIONS = (
     (
         {"n": 6, "torus_rank": 1, "weight_matrix": [[1, 1, 1, -1, -1, -1]]},
         18,
+    ),
+    (
+        {
+            "n": 6,
+            "finite_orders": [3, 3],
+            "weight_matrix": [[1, 1, 1, 2, 2, 2], [1, 2, 0, 1, 2, 0]],
+        },
+        14,
     ),
 )
 
