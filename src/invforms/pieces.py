@@ -83,6 +83,29 @@ as generators at q; and echelon rows are the canonical reduced form of
 their span (`linalg`), so the rows, rank and capped status at m do not
 depend on the rows started from.  Only the last degrees, where a parent
 can lie, keep their echelons.
+
+Orbits.  Let Sym be the group of coordinate permutations p (coordinate
+i goes to p[i]) that map the scanned Hilbert basis onto itself and the
+ray generators `Grading.rays` onto itself (`Grading.symmetry`,
+`coordinate_symmetries`).  The first condition makes p map M onto
+itself up to the scan's bound, since every point there is a sum of
+scanned generators; the second makes p keep the cone.  Such a p maps
+the k-subsets of wedge generators to k-subsets of wedge generators,
+and d(x^g_1) ∧ ... ∧ d(x^g_k) to the signed permutation of its block
+vector (`exterior_permutation`), so the image block at p(m) is p of
+the one at m.  The horizontal target at supp m is Λ^k of the torus
+kernel restricted to supp m; m lies inside the face of the cone over
+supp m, so that kernel is spanned by the rays with support in supp m,
+and p carries it to the one at p(supp m).  Ranks, target dimensions
+and caps are therefore constant on orbits, and a point is at its cap
+exactly when its orbit images are.  With `orbits` set, a `BlockModule`
+lists only the least point of each orbit in scan order
+(`Grading.orbit_blocks`), and `Grading.orbit` gives each one's orbit
+as (packed key, support, p) per point, the representative first with
+p None.  When a representative reaches its cap, every orbit point is
+recorded as capped.  A caller that needs the blocks themselves, such
+as the cokernel witness, maps a representative's rows to each orbit
+point by p.
 """
 
 from functools import cached_property
@@ -111,7 +134,10 @@ class Grading:
     bound, dim Y (in `dimension`, see `invariants.quotient_dimension`)
     and the canonical interior (`canonical.toric_canonical_series`) are
     read, and in `monoid` the Hilbert-basis scan at the call's bound
-    (see `invariants.monoid_basis`), with the parents it records.
+    (see `invariants.monoid_basis`), with the parents it records.  The
+    coordinate symmetries of the scan and the orbits of the weight-zero
+    points under them are listed on first use (see the module
+    docstring).
     """
 
     def __init__(self, action):
@@ -126,6 +152,11 @@ class Grading:
         self._points = None
         self._weight_zero = {}
         self._zero_blocks = {}
+        self._symmetry = None  # (monoid scan, Sym, [(p(m) getter, p)])
+        self._orbits = {}
+        self._orbit_blocks = {}
+        # representative: ((packed key, supp, permutation) per orbit point)
+        self.orbit = {}
 
     def weight_zero(self, d):
         """[(m, supp m)] for the weight-zero exponents m of degree d,
@@ -145,6 +176,61 @@ class Grading:
             got = self._zero_blocks[k, d] = [
                 (m, s, key) for (m, s), key in points if len(s) >= k
             ]
+        return got
+
+    def symmetry(self):
+        """Sym of the call's scan, identity first: the coordinate
+        permutations p (coordinate i goes to p[i]) that map the scanned
+        Hilbert basis and `rays` each onto itself (see the module
+        docstring).  Searched once per scan."""
+        scan = self.monoid
+        if self._symmetry is None or self._symmetry[0] is not scan:
+            gens = scan.generators if scan else ()
+            sym = coordinate_symmetries(self.action.n, (gens, self.rays))
+            # p(m) reads m[i] at p[i], so it is m read at the inverse of p
+            moves = [
+                (itemgetter(*sorted(range(len(p)), key=p.__getitem__)), p)
+                for p in sym[1:]
+            ]
+            self._symmetry = scan, sym, moves
+            self._orbits = {}
+            self._orbit_blocks = {}
+            self.orbit = {}
+        return self._symmetry[1]
+
+    def orbit_blocks(self, k, d):
+        """[(m, supp m, packed key)] for the Sym-orbit representatives of
+        degree d with a nonzero block of k-forms, ascending; `orbit[m]`
+        lists each one's orbit."""
+        got = self._orbit_blocks.get((k, d))
+        if got is None:
+            got = self._orbit_blocks[k, d] = [
+                p for p in self._orbit_points(d) if len(p[1]) >= k
+            ]
+        return got
+
+    def _orbit_points(self, d):
+        self.symmetry()
+        got = self._orbits.get(d)
+        if got is not None:
+            return got
+        moves = self._symmetry[2]
+        points = self.weight_zero(d)
+        keys = self.weight_zero_keys(d)
+        index = {m: j for j, (m, _) in enumerate(points)}
+        orbit = self.orbit
+        seen = set()
+        got = self._orbits[d] = []
+        for j, (m, s) in enumerate(points):
+            if j in seen:
+                continue
+            # the least point of its orbit in scan order
+            members = {j: None}
+            for move, p in moves:
+                members.setdefault(index[move(m)], p)
+            seen.update(members)
+            orbit[m] = tuple((keys[i], points[i][1], p) for i, p in members.items())
+            got.append((m, s, keys[j]))
         return got
 
     def _enumerate(self, d):
@@ -178,6 +264,66 @@ class Grading:
         if self._certificate is None:
             self._certificate = hilbert_certificate_bound(self.action, self.rays)
         return self._certificate
+
+
+def coordinate_symmetries(n, vector_sets):
+    """The permutations p of range(n), as tuples with coordinate i going
+    to p[i], that map each set of integer vectors onto itself; the
+    identity first.
+
+    Each such p keeps, at every coordinate, the multiset of (set,
+    degree, entry) over the vectors, so coordinate i is only sent to a
+    coordinate with the same signature; when all signatures differ,
+    only the identity is left and nothing is searched.  Otherwise p is
+    built one coordinate at a time, and a partial p is dropped as soon
+    as it fixes the image of a vector, all of whose support it has
+    assigned, outside the vector's set (Margot, "Symmetry in integer
+    linear programming", 2010; Bremner et al., "Computing symmetry
+    groups of polyhedra", LMS J. Comput. Math. 17, 2014)."""
+    identity = tuple(range(n))
+    sets = [[tuple(v) for v in vs] for vs in vector_sets]
+    signature = [
+        sorted((j, sum(v), v[i]) for j, vs in enumerate(sets) for v in vs)
+        for i in range(n)
+    ]
+    choices = [
+        [j for j in range(n) if signature[j] == signature[i]] for i in range(n)
+    ]
+    if all(len(c) == 1 for c in choices):
+        return (identity,)
+    # per coordinate i: (set, nonzero entries) of the vectors whose
+    # support ends at i
+    ending = [[] for _ in range(n)]
+    for vs in sets:
+        members = set(vs)
+        for v in vs:
+            entries = [(c, x) for c, x in enumerate(v) if x]
+            if entries:
+                ending[entries[-1][0]].append((members, entries))
+    found = []
+
+    def extend(p):
+        i = len(p)
+        if i == n:
+            found.append(tuple(p))
+            return
+        for j in choices[i]:
+            if j in p:
+                continue
+            p.append(j)
+            for members, entries in ending[i]:
+                image = [0] * n
+                for c, x in entries:
+                    image[p[c]] = x
+                if tuple(image) not in members:
+                    break
+            else:
+                extend(p)
+            p.pop()
+
+    extend([])
+    found.remove(identity)
+    return (identity, *found)
 
 
 def check_degree(d):
@@ -317,11 +463,15 @@ def piece_keys(action, k, degree, weight, grading=None):
 
 
 def form_to_vector(form, positions, ncols):
-    """Coordinates of a form in a piece basis given by {(I, exps): column}."""
+    """Coordinates of a form in a piece basis given by {(I, exps): column};
+    an integral coefficient is an int, so a form with integer
+    coefficients gives a row `Echelon` takes as it is."""
     vec = [0] * ncols
     for I, exps, c in form.terms():
         try:
-            vec[positions[(I, exps)]] = c
+            vec[positions[(I, exps)]] = (
+                c.numerator if c.denominator == 1 else c
+            )
         except KeyError:
             raise StructuralError(
                 f"term x^{exps} dx_{I} lies outside the requested piece"
@@ -335,6 +485,19 @@ def form_to_vector(form, positions, ncols):
 def exterior_basis(n, k):
     """The coordinates of a block of the k-forms: k-subsets of range(n)."""
     return list(combinations(range(n), k))
+
+
+def exterior_permutation(n, k, p):
+    """[(column, sign)] per column of a k-form block: where the
+    coordinate permutation p (i goes to p[i]) sends dx_I, as the sorted
+    subset p(I) and the sign of sorting it."""
+    place = {I: j for j, I in enumerate(exterior_basis(n, k))}
+    out = []
+    for I in exterior_basis(n, k):
+        J = [p[i] for i in I]
+        inversions = sum(a > b for a, b in combinations(J, 2))
+        out.append((place[tuple(sorted(J))], -1 if inversions % 2 else 1))
+    return out
 
 
 def support(m):
@@ -358,11 +521,16 @@ class BlockModule:
     generators (m, vector) span over the invariant ring, lifted and
     saturated up the monoid one degree at a time (see the module
     docstring).  `cap(supp m)` is the largest rank of the block at m;
-    it is asked once per support.
+    it is asked once per support.  With `orbits`, only one point per
+    orbit of `Grading.symmetry` is listed and spanned, which is exact
+    only for a module that Sym maps onto itself, as it does a pullback
+    image.
     """
 
-    def __init__(self, grading, k, cap, blocks=()):
+    def __init__(self, grading, k, cap, blocks=(), orbits=False):
         self._grading = grading
+        self._points = grading.orbit_blocks if orbits else grading.zero_blocks
+        self._orbit = grading.orbit if orbits else None
         self._k = k
         self._cap = cap
         self._caps = {}  # support: cap
@@ -374,7 +542,7 @@ class BlockModule:
         )
         self._capped = {}  # support: packed keys of points at their cap
         self._held = {}  # key: echelon of a spanned point
-        self._spanned = {}  # degree: (key, echelon, supp, cap) of those points
+        self._spanned = {}  # degree: (key, echelon, supp, cap, m) of those points
         # a parent lies at most the largest Hilbert-basis degree below
         self._depth = grading.monoid.max_degree if grading.monoid else 0
 
@@ -384,23 +552,34 @@ class BlockModule:
 
     def blocks(self, d):
         """[(m, supp m, echelon or None)] for the points of degree d with
-        a nonzero block, in `Grading.zero_blocks` order.  None marks a
-        saturated point, whose block has rank cap(supp m); an open
-        point gets the echelon of the generators lifted to it, seeded
-        from its parent's and spanned in order until its rank reaches
-        the cap.  Degrees must be asked for one after another, ascending."""
+        a nonzero block, in `Grading.zero_blocks` order, or with `orbits`
+        for the orbit representatives among them, in
+        `Grading.orbit_blocks` order.  None marks a saturated point,
+        whose block has rank cap(supp m); an open point gets the echelon
+        of the generators lifted to it, seeded from its parent's when
+        that was spanned, and spanned in order until its rank reaches
+        the cap.  A representative's block stands for every point of
+        its orbit, which `Grading.orbit[m]` lists.  Degrees must be
+        asked for one after another, ascending."""
         guard = self._grading.guard
         capped = self._capped
         held = self._held
-        for key, ech, s, full in self._spanned.get(d - 1, ()):
-            if ech.rank == full:
+        orbit = self._orbit
+        for key, ech, s, full, m in self._spanned.get(d - 1, ()):
+            if ech.rank != full:
+                continue
+            if orbit is None:
                 capped.setdefault(s, []).append(key)
+            else:
+                # every point of the orbit is at its cap too
+                for q, t, _ in orbit[m]:
+                    capped.setdefault(t, []).append(q)
         for got in self._spanned.pop(d - 1 - self._depth, ()):
             del held[got[0]]
         parents = self._grading.parents
         out = []
         lifted = {}  # key: (vectors, parent | guard or None, position, m, s, seed)
-        for m, s, key in self._grading.zero_blocks(self._k, d):
+        for m, s, key in self._points(self._k, d):
             top = key | guard
             for q in capped.get(s, ()):
                 if (top - q) & guard == guard:
@@ -438,7 +617,7 @@ class BlockModule:
                 if ech.insert(vec) is not None:
                     rank += 1
             held[key] = ech
-            spanned.append((key, ech, s, full))
+            spanned.append((key, ech, s, full, m))
             out[i] = (m, s, ech)
         return out
 

@@ -28,11 +28,14 @@ wedge builder, which summed every term of every minor; the engine's
 one-pass reduction and sparse wedges are checked against them.
 `Echelon` takes integer rows, so the oracles scale form coordinates,
 which are Fractions, with `int_row` before reducing them.
+`monoid_symmetries` tries every coordinate permutation on the
+brute-force weight-zero monomials, the group the engine's symmetry
+search is checked against.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, gcd, lcm
 from operator import add, le, mul
 
@@ -152,6 +155,30 @@ def brute_weight0_monomials(weight_matrix, torus_rank, finite_orders, n, d):
         if not any(torus) and not any(finite):
             out.append(exps)
     return sorted(out)
+
+
+def monoid_symmetries(weight_matrix, torus_rank, finite_orders, n, bound, rays):
+    """Every permutation p of range(n), as a tuple sending coordinate i
+    to p[i], that maps the weight-zero monomials of each degree up to
+    `bound` onto themselves and the vectors `rays` onto themselves;
+    tried one by one over all n! permutations."""
+    points = [
+        set(brute_weight0_monomials(weight_matrix, torus_rank, finite_orders, n, d))
+        for d in range(bound + 1)
+    ]
+    rays = {tuple(r) for r in rays}
+
+    def moved(p, v):
+        out = [0] * n
+        for i, x in zip(p, v):
+            out[i] = x
+        return tuple(out)
+
+    return {
+        p
+        for p in permutations(range(n))
+        if all({moved(p, v) for v in vs} == vs for vs in (*points, rays))
+    }
 
 
 def brute_monomials(n, d):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from operator import add, le
 from time import perf_counter
@@ -17,6 +17,8 @@ from invforms.pieces import (
     Grading,
     block_form,
     exterior_basis,
+    exterior_permutation,
+    form_to_vector,
     monomials_of_degree,
     monomials_with_weight,
     pack,
@@ -32,7 +34,9 @@ from oracles import (
     brute_monomials_by_weight,
     brute_pieces,
     brute_weight0_monomials,
+    frac_det,
     frac_rank,
+    monoid_symmetries,
     zero_weight,
 )
 
@@ -174,6 +178,103 @@ def test_block_span_matches_polynomial_products(data):
             products.append({(I, exps): c for I, exps, c in prod.terms()})
     keys = sorted(set().union(*products))
     assert got == frac_rank([[p.get(key, 0) for key in keys] for p in products])
+
+
+def test_form_to_vector_rows_go_straight_to_an_echelon():
+    from invforms.linalg import Echelon
+
+    keys = piece_keys(Z2, 1, 2, zero_weight(Z2))
+    positions = {key: j for j, key in enumerate(keys)}
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    forms = [
+        PolyForm(2, 1, {(0,): x, (1,): y}),
+        PolyForm(2, 1, {(0,): y * 3, (1,): x * -2}),
+        PolyForm(2, 1, {(0,): x * 2, (1,): y * 2}),
+    ]
+    ech = Echelon(len(keys))
+    got = []
+    for f in forms:
+        row = form_to_vector(f, positions, len(keys))
+        assert all(type(c) is int for c in row)
+        got.append(ech.insert(row))
+    assert got[2] is None and ech.rank == 2
+    # a coefficient that is not integral stays a Fraction
+    half = PolyForm(2, 1, {(0,): x * Fraction(1, 2)})
+    assert Fraction(1, 2) in form_to_vector(half, positions, len(keys))
+
+
+# -- coordinate symmetries ---------------------------------------------------
+
+
+@given(actions(max_n=5))
+@example(make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]]))
+@example(make_action(4, torus_rank=1, weight_matrix=[[1, 1, -1, -1]]))
+@example(make_action(3, finite_orders=[3], weight_matrix=[[1, 1, 1]]))
+def test_symmetry_is_the_group_of_the_monoid_and_its_rays(act):
+    """Every member of `Grading.symmetry` maps the weight-zero points of
+    each degree up to the scan's bound onto themselves, and every
+    permutation that does so and permutes the rays is a member."""
+    bound = 6
+    grading = Grading(act)
+    monoid_basis(grading, bound)
+    got = grading.symmetry()
+    assert got[0] == tuple(range(act.n))
+    assert len(set(got)) == len(got)
+    want = monoid_symmetries(
+        act.weight_matrix, act.torus_rank, act.finite_orders, act.n, bound,
+        grading.rays,
+    )
+    assert set(got) == want
+
+
+def test_orbits_partition_the_points_with_their_least_first():
+    act = make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]])
+    grading = Grading(act)
+    monoid_basis(grading, 7)
+    assert len(grading.symmetry()) == 8
+    total = 0
+    for d in range(8):
+        points = grading.weight_zero(d)
+        order = {m: j for j, (m, _) in enumerate(points)}
+        reps = grading.orbit_blocks(0, d)
+        covered = []
+        for m, s, key in reps:
+            members = grading.orbit[m]
+            assert members[0] == (key, s, None)
+            for q, t, p in members[1:]:
+                image = [0] * act.n
+                for i, x in zip(p, m):
+                    image[i] = x
+                assert q == pack(image) and t == support(image)
+                assert order[tuple(image)] > order[m]
+            covered.extend(q for q, _, _ in members)
+        assert sorted(covered) == sorted(grading.weight_zero_keys(d))
+        assert grading.orbit_blocks(2, d) == [r for r in reps if len(r[1]) >= 2]
+        total += len(reps)
+    # 264 weight-zero points up to degree 7 in 65 orbits
+    assert total == 65
+
+
+@given(st.integers(1, 4), st.data())
+def test_exterior_permutation_moves_wedges(n, data):
+    """Moving the generators g_j by p moves the block vector of
+    dx^g_1 ∧ ... ∧ dx^g_k (its k x k minors) by `exterior_permutation`."""
+    k = data.draw(st.integers(0, n))
+    p = data.draw(st.permutations(range(n)))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    gens = data.draw(st.lists(row, min_size=k, max_size=k))
+    moved = [[0] * n for _ in gens]
+    for g, h in zip(gens, moved):
+        for i, x in zip(p, g):
+            h[i] = x
+    subsets = exterior_basis(n, k)
+
+    def minors(vs):
+        return [frac_det([[v[i] for i in I] for v in vs]) for I in subsets]
+
+    before, after = minors(gens), minors(moved)
+    for (j, sign), x in zip(exterior_permutation(n, k, p), before):
+        assert after[j] == sign * x
 
 
 # -- packed keys and block modules-----------------------------------------

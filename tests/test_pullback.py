@@ -8,9 +8,10 @@ from hypothesis import example, given, strategies as st
 from invforms.action import load_action, make_action
 from invforms.errors import InternalCheckError
 from invforms.forms import PolyForm, wedge
-from invforms.invariants import hilbert_basis, quotient_dimension
+from invforms.invariants import hilbert_basis, monoid_basis, quotient_dimension
 from invforms.pieces import Grading
 from invforms.pullback import (
+    NARROW_BLOCK,
     _wedge_candidates,
     pullback_image,
     surjectivity_check,
@@ -321,3 +322,81 @@ def test_no_candidate_is_reduced_into_a_full_block(monkeypatch, corpus_dir):
     # first fills the block; 3 and 77 candidates for k = 2, 3 meet a
     # full block and are dropped unreduced
     assert counts == [(10, 0, 10), (45, 27, 35), (105, 0, 28)]
+
+
+def _checks(act, bound):
+    """(verdict, witness degrees, str(witness), table rows) of
+    `surjectivity_check` for k = 1..dim Y, on one grading."""
+    grading = Grading(act)
+    return [
+        (res.verdict, res.witness_degrees, str(res.witness), res.table.rows)
+        for res in (
+            surjectivity_check(act, k, bound, grading=grading)
+            for k in range(1, quotient_dimension(act, grading) + 1)
+        )
+    ]
+
+
+def _with_and_without_orbits(act, bound):
+    """`_checks` spanning one point per orbit at every block width, and
+    with the symmetry group forced trivial, so every point is spanned;
+    also whether the group is nontrivial."""
+    import invforms.pullback
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invforms.pullback, "NARROW_BLOCK", 0)
+        orbits = _checks(act, bound)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Grading, "symmetry", lambda self: (tuple(range(act.n)),))
+        points = _checks(act, bound)
+    grading = Grading(act)
+    monoid_basis(grading, bound)
+    return orbits, points, len(grading.symmetry()) > 1
+
+
+def test_orbits_give_the_pointwise_checks_on_the_corpus(corpus_dir):
+    symmetric = 0
+    for path in sorted(corpus_dir.glob("*.json")):
+        act = load_action(path)
+        orbits, points, nontrivial = _with_and_without_orbits(act, 12)
+        assert orbits == points, path.stem
+        symmetric += nontrivial
+    assert symmetric == 24
+
+
+@given(actions(max_n=5))
+@example(make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]]))
+@example(make_action(4, torus_rank=1, weight_matrix=[[1, 1, -1, -1]]))
+def test_orbits_give_the_pointwise_checks(act):
+    orbits, points, _ = _with_and_without_orbits(act, 7)
+    assert orbits == points
+
+
+@pytest.mark.parametrize(
+    "act, bound",
+    [
+        (make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]]), 7),
+        (make_action(6, torus_rank=1, weight_matrix=[[1, 1, 1, -1, -1, -1]]), 8),
+    ],
+)
+def test_orbits_span_the_open_representatives(spanned, act, bound):
+    """With orbits, the points spanned are the orbit representatives
+    among those a pointwise sweep spans: a capped representative caps
+    its whole orbit, so no later representative that dominates an
+    orbit point of its support is spanned again."""
+    for k in range(1, quotient_dimension(act) + 1):
+        if comb(act.n, k) <= NARROW_BLOCK:
+            continue
+        grading = Grading(act)
+        monoid_basis(grading, bound)
+        spanned.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Grading, "symmetry", lambda self: (tuple(range(act.n)),))
+            surjectivity_check(act, k, bound)
+        pointwise = set(spanned)
+        spanned.clear()
+        surjectivity_check(act, k, bound, grading=grading)
+        reps = {m for d in range(bound + 1) for m, _, _ in grading.orbit_blocks(k, d)}
+        assert len(grading.symmetry()) > 1
+        assert spanned == sorted(spanned, key=lambda m: (sum(m), m))
+        assert set(spanned) == pointwise & reps, k
