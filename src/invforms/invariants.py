@@ -15,7 +15,13 @@ from operator import itemgetter
 from invforms.cones import span_dim
 from invforms.errors import PreconditionError
 from invforms.euler import horizontal_block, torus_rows
-from invforms.pieces import BlockModule, Grading, block_form, block_key
+from invforms.pieces import (
+    BlockModule,
+    Grading,
+    block_form,
+    block_key,
+    check_degree,
+)
 
 
 @dataclass(frozen=True)
@@ -42,18 +48,23 @@ def hilbert_basis(action, bound, grading=None):
     This is the monoid scan: a point is a generator when it dominates
     no generator of lower degree, tested on packed keys (`pieces`); any
     other point m records the key of m - h, h the first generator it
-    dominates, as its parent in `grading.parents`.  Within one call, take
-    the basis from `monoid_basis`, which keeps the grading's scan.
+    dominates, as its parent in `grading.parents`.  The scan walks
+    degrees 1..min(bound, c), c the certificate bound; past c the basis
+    is complete, so each degree up to `bound` is listed from sums of the
+    basis by `Grading.sums`, which records the same parents, and is not
+    scanned.  Within one call, take the basis from `monoid_basis`,
+    which keeps the grading's scan.
     """
     if bound < 1:
         raise PreconditionError(f"bound must be at least 1, got {bound}")
     if grading is None:
         grading = Grading(action)
-    grading.weight_zero(bound)  # walked anyway; raises first past the packed-key limit
+    check_degree(bound)
+    cert = grading.certificate_bound()
     guard = grading.guard
     gens = []
     keys = []
-    for d in range(1, bound + 1):
+    for d in range(1, min(bound, cert) + 1):
         points = zip(grading.weight_zero(d), grading.weight_zero_keys(d))
         for (exps, _), key in points:
             top = key | guard
@@ -64,7 +75,9 @@ def hilbert_basis(action, bound, grading=None):
             else:
                 gens.append(exps)
                 keys.append(key)
-    cert = grading.certificate_bound()
+    basis = [(key, sum(g)) for g, key in zip(gens, keys)]
+    for d in range(cert + 1, bound + 1):
+        grading.parents.update(grading.sums(d, basis))
     return MonoidBasis(tuple(gens), bound >= cert, bound, cert)
 
 
@@ -138,7 +151,7 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
         raise PreconditionError(f"bound {bound} below form degree {k}")
     if grading is None:
         grading = Grading(action)
-    grading.weight_zero(bound)  # walked anyway; raises first past the packed-key limit
+    check_degree(bound)
     n = action.n
     rows = torus_rows(action) if horizontal else ()
     basis_at = cache(lambda s: horizontal_block(n, k, s, rows))

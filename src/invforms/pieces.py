@@ -38,17 +38,33 @@ Reduced echelon forms, kernel bases and the piece order of a block
 vector (`block_key`) are those of the piece restricted to the block.
 
 Each weight-zero point m also has a packed key, one KEY_WIDTH-bit
-field per coordinate, m_i in field i, whose top bit is a guard bit
-left at 0.  Coordinates never exceed the degree, and `weight_zero`
-raises `ResourceLimitError` at a degree that would reach the guard
-bit, so with G the mask of the guard bits (`Grading.guard`)
+field per coordinate, m_0 in the highest field and m_(n-1) in the
+lowest, whose top bit is a guard bit left at 0.  Coordinates never
+exceed the degree, and `weight_zero` raises `ResourceLimitError` at a
+degree that would reach the guard bit, so with G the mask of the guard
+bits (`Grading.guard`)
 
     key(p + q) = key(p) + key(q),
     p <= m  exactly when  ((key(m) | G) - key(p)) & G == G:
 
-field i of (key(m) | G) - key(p) is 2^(KEY_WIDTH - 1) + m_i - p_i,
-which borrows from nothing and keeps its guard bit exactly when
-m_i >= p_i.  Monoid addition and domination are one integer operation.
+the field of coordinate i in (key(m) | G) - key(p) is
+2^(KEY_WIDTH - 1) + m_i - p_i, which borrows from nothing and keeps its
+guard bit exactly when m_i >= p_i.  Monoid addition and domination are
+one integer operation, whatever the order of the fields.  With m_0
+highest, the keys of one degree ascend numerically in the walk's
+lexicographic order, so sorting keys sorts points.
+
+Points above the certificate bound.  Once a monoid scan has passed the
+certificate bound c (`cones.hilbert_certificate_bound`) it holds the
+whole Hilbert basis, and every point m of M of a degree d > c is h + q
+for a basis element h <= m and a point q = m - h of degree d - |h|
+(Bruns–Ichim, J. Algebra 324 (2010): the points of a normal monoid are
+the sums of its Hilbert basis).  `Grading.sums` lists such a degree as
+the union over h of the keys of weight_zero(d - |h|) plus key(h),
+sorted, and decodes each key to its point, instead of walking it; the
+parent it gives m is m - h for the first h in basis order with h <= m,
+the scan's own rule.  Only the scan calls it, so a fresh Grading, and
+any degree listed before the scan, is walked.
 
 Blocks are lifted up the monoid.  The block at m of a module generated
 by block vectors at points p is spanned by the generators with p <= m,
@@ -109,9 +125,10 @@ point by p.
 """
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import comb
 from operator import itemgetter
+from struct import Struct
 
 from invforms.action import weight_of_exponents
 from invforms.cones import hilbert_certificate_bound, ray_monoid_generators
@@ -233,6 +250,29 @@ class Grading:
             got.append((m, s, keys[j]))
         return got
 
+    def sums(self, d, basis):
+        """{key of m: key of m - h} over the weight-zero points m of
+        degree d, h the first of `basis` with h <= m, where `basis` is
+        [(packed key, degree)] of the whole Hilbert basis in scan order
+        and every element has degree below d.  Lists degree d from these
+        sums unless it is listed already (see the module docstring)."""
+        found = {}
+        for h, e in reversed(basis):
+            # a later update overwrites: the first h that gives m wins
+            qs = self.weight_zero_keys(d - e)
+            found.update(zip(map(h.__add__, qs), qs))
+        if d not in self._weight_zero:
+            check_degree(d)
+            n = self.action.n
+            keys = sorted(found)
+            # one KEY_WIDTH = 16-bit field per coordinate, m_0 highest
+            unpack = Struct(f">{n}H").unpack
+            raw = map(int.to_bytes, keys, repeat(2 * n), repeat("big"))
+            points = list(map(unpack, raw))
+            supports = map(tuple, map(compress, repeat(range(n)), points))
+            self._weight_zero[d] = list(zip(points, supports)), keys
+        return found
+
     def _enumerate(self, d):
         check_degree(d)
         if self._points is None:
@@ -350,7 +390,10 @@ def monomials_of_degree(n, d):
 
 def pack(m):
     """The packed key of an exponent vector (see the module docstring)."""
-    return sum(x << (KEY_WIDTH * i) for i, x in enumerate(m))
+    key = 0
+    for x in m:
+        key = key << KEY_WIDTH | x
+    return key
 
 
 def weight_zero_enumerator(action):
@@ -373,7 +416,8 @@ def weight_zero_enumerator(action):
     cols = [[row[i] for row in torus] for i in range(last)]
     fcols = [[row[i] for row in finite] for i in range(last)]
     tail = [(row[last - 1], row[last], m) for row, m in zip(finite, orders)]
-    top = KEY_WIDTH * last
+    # the field of coordinate i, m_0 highest
+    shifts = [KEY_WIDTH * (last - i) for i in range(n)]
 
     def points(d):
         if d < 0 or any(d * least > 0 or d * most < 0 for least, most in signs):
@@ -413,7 +457,7 @@ def weight_zero_enumerator(action):
                         [f + a * w for f, w in zip(residues, fcols[i])],
                         prefix + (a,),
                         supp + (i,) if a else supp,
-                        key + (a << (KEY_WIDTH * i)),
+                        key + (a << shifts[i]),
                     )
                 return
             # x_last takes the rest; at i = last - 1 the least and largest
@@ -426,7 +470,7 @@ def weight_zero_enumerator(action):
                 else:
                     s = supp + (i,) if a else supp
                     out.append((prefix + (a, rest), s + (last,) if rest else s))
-                    keys.append(key + (a << (KEY_WIDTH * i)) + (rest << top))
+                    keys.append(key + (a << shifts[i]) + rest)
 
         walk(0, d, [0] * len(torus), [0] * len(finite), (), (), 0)
         return out, keys

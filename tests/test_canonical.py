@@ -87,6 +87,16 @@ def test_canonical_series_examples_agree():
     assert _certified_match(T, 4)
 
 
+@given(actions())
+def test_certified_identification_always_matches(act):
+    """The paper's dualizing-sheaf statement: with no pseudo-reflection
+    and a strongly stable torus part, the invariant horizontal top-forms
+    have the Hilbert series of the interior of the monoid's cone."""
+    doc = canonical_comparison(act, 8)
+    if doc["identification_certified"]:
+        assert doc["match"]
+
+
 def test_canonical_series_names_reflections():
     doc = canonical_comparison(Z2R, 6)
     assert not doc["identification_certified"]

@@ -5,7 +5,7 @@ from operator import add, le
 from time import perf_counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from invforms.action import Weight, load_action, make_action
 from invforms.errors import ResourceLimitError
@@ -28,6 +28,7 @@ from invforms.pieces import (
 from invforms.forms import PolyForm
 from invforms.poly import Polynomial
 from invforms.pullback import pullback_image
+from invforms.report import default_bound
 from oracles import (
     actions,
     block_span,
@@ -297,6 +298,66 @@ def test_packed_keys_agree_with_tuples():
     assert grading.weight_zero_keys(top) == [pack((0, top))]
     with pytest.raises(ResourceLimitError, match="packed"):
         grading.weight_zero(top + 1)
+
+
+def _scanned_past_the_certificate(act, bound):
+    """A grading scanned at `bound` and a fresh one walked to it agree
+    at every degree on the points, their supports, their order and
+    their keys; every point the scan reduces records as its parent
+    m - g, g the first basis element that m dominates, and every other
+    point is a basis element."""
+    scanned = Grading(act)
+    basis = monoid_basis(scanned, bound)
+    walked = Grading(act)
+    for d in range(bound + 1):
+        assert scanned.weight_zero(d) == walked.weight_zero(d), d
+        assert scanned.weight_zero_keys(d) == walked.weight_zero_keys(d), d
+        for m, _ in walked.weight_zero(d) if d else ():
+            below = [g for g in basis.generators if g != m and all(map(le, g, m))]
+            if below:
+                rest = tuple(a - b for a, b in zip(m, below[0]))
+                assert scanned.parents[pack(m)] == pack(rest), m
+            else:
+                assert pack(m) not in scanned.parents and m in basis.generators
+    assert not walked.parents
+
+
+@given(actions(max_n=5))
+@example(make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]]))
+@example(
+    make_action(
+        6, finite_orders=[3, 3], weight_matrix=[[1, 1, 1, 2, 2, 2], [1, 2, 0, 1, 2, 0]]
+    )
+)
+@example(make_action(4, torus_rank=1, weight_matrix=[[1, 1, -1, -1]]))
+def test_sums_past_the_certificate_bound_match_the_walk(act):
+    """Above the certificate bound the scan lists each degree from sums
+    of the Hilbert basis.  Three degrees past it; an action whose bound
+    is past 24 would make the fresh walk slow and is left out."""
+    bound = Grading(act).certificate_bound() + 3
+    assume(bound <= 27)
+    _scanned_past_the_certificate(act, bound)
+
+
+def test_sums_on_the_corpus_match_the_walk(corpus_dir):
+    # every spec's certificate bound lies below its default bound
+    for path in sorted(corpus_dir.glob("*.json")):
+        act = load_action(path)
+        _scanned_past_the_certificate(act, default_bound(act))
+
+
+@given(actions(max_n=5))
+@example(make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]]))
+def test_keys_ascend_in_point_order(act):
+    """Walked or listed from sums, the keys of a degree ascend and are
+    the packed keys of its points."""
+    grading = Grading(act)
+    bound = min(grading.certificate_bound() + 3, 12)
+    monoid_basis(grading, bound)
+    for d in range(bound + 1):
+        keys = grading.weight_zero_keys(d)
+        assert keys == sorted(set(keys))
+        assert keys == [pack(m) for m, _ in grading.weight_zero(d)]
 
 
 def test_bound_past_the_packed_limit_fails_before_walking(corpus_dir):
