@@ -15,13 +15,7 @@ from operator import itemgetter
 from invforms.cones import span_dim
 from invforms.errors import PreconditionError
 from invforms.euler import horizontal_block, torus_rows
-from invforms.pieces import (
-    BlockModule,
-    Grading,
-    block_form,
-    block_key,
-    check_degree,
-)
+from invforms.pieces import BlockModule, Grading, block_form, block_key, check_degree
 
 
 @dataclass(frozen=True)

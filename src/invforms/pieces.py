@@ -269,8 +269,7 @@ class Grading:
             unpack = Struct(f">{n}H").unpack
             raw = map(int.to_bytes, keys, repeat(2 * n), repeat("big"))
             points = list(map(unpack, raw))
-            supports = map(tuple, map(compress, repeat(range(n)), points))
-            self._weight_zero[d] = list(zip(points, supports)), keys
+            self._weight_zero[d] = list(zip(points, map(support, points))), keys
         return found
 
     def _enumerate(self, d):
@@ -545,7 +544,7 @@ def exterior_permutation(n, k, p):
 
 
 def support(m):
-    return tuple(i for i, x in enumerate(m) if x)
+    return tuple(compress(range(len(m)), m))
 
 
 def block_points(grading, k, degree, weight):
