@@ -107,8 +107,8 @@ ray generators `Grading.rays` onto itself (`Grading.symmetry`,
 itself up to the scan's bound, since every point there is a sum of
 scanned generators; the second makes p keep the cone.  Such a p maps
 the k-subsets of wedge generators to k-subsets of wedge generators,
-and d(x^g_1) ∧ ... ∧ d(x^g_k) to the signed permutation of its block
-vector (`exterior_permutation`), so the image block at p(m) is p of
+and d(x^g_1) ∧ ... ∧ d(x^g_k) to a signed permutation of its block
+vector, dx_I going to ±dx_p(I), so the image block at p(m) is p of
 the one at m.  The horizontal target at supp m is Λ^k of the torus
 kernel restricted to supp m; m lies inside the face of the cone over
 supp m, so that kernel is spanned by the rays with support in supp m,
@@ -117,11 +117,11 @@ and caps are therefore constant on orbits, and a point is at its cap
 exactly when its orbit images are.  With `orbits` set, a `BlockModule`
 lists only the least point of each orbit in scan order
 (`Grading.orbit_blocks`), and `Grading.orbit` gives each one's orbit
-as (packed key, support, p) per point, the representative first with
-p None.  When a representative reaches its cap, every orbit point is
-recorded as capped.  A caller that needs the blocks themselves, such
-as the cokernel witness, maps a representative's rows to each orbit
-point by p.
+as (packed key, point, support) per point, the representative first.
+When a representative reaches its cap, every orbit point is recorded
+as capped.  A caller that needs the blocks themselves, such as the
+cokernel witness, spans the block at each orbit point from the
+generators that point dominates, as a pointwise sweep does.
 """
 
 from functools import cached_property
@@ -169,10 +169,9 @@ class Grading:
         self._points = None
         self._weight_zero = {}
         self._zero_blocks = {}
-        self._symmetry = None  # (monoid scan, Sym, [(p(m) getter, p)])
+        self._symmetry = None  # (monoid scan, Sym, [p(m) getter])
         self._orbits = {}
-        self._orbit_blocks = {}
-        # representative: ((packed key, supp, permutation) per orbit point)
+        # representative: ((packed key, point, supp) per orbit point)
         self.orbit = {}
 
     def weight_zero(self, d):
@@ -206,12 +205,11 @@ class Grading:
             sym = coordinate_symmetries(self.action.n, (gens, self.rays))
             # p(m) reads m[i] at p[i], so it is m read at the inverse of p
             moves = [
-                (itemgetter(*sorted(range(len(p)), key=p.__getitem__)), p)
+                itemgetter(*sorted(range(len(p)), key=p.__getitem__))
                 for p in sym[1:]
             ]
             self._symmetry = scan, sym, moves
             self._orbits = {}
-            self._orbit_blocks = {}
             self.orbit = {}
         return self._symmetry[1]
 
@@ -219,12 +217,7 @@ class Grading:
         """[(m, supp m, packed key)] for the Sym-orbit representatives of
         degree d with a nonzero block of k-forms, ascending; `orbit[m]`
         lists each one's orbit."""
-        got = self._orbit_blocks.get((k, d))
-        if got is None:
-            got = self._orbit_blocks[k, d] = [
-                p for p in self._orbit_points(d) if len(p[1]) >= k
-            ]
-        return got
+        return [p for p in self._orbit_points(d) if len(p[1]) >= k]
 
     def _orbit_points(self, d):
         self.symmetry()
@@ -242,11 +235,9 @@ class Grading:
             if j in seen:
                 continue
             # the least point of its orbit in scan order
-            members = {j: None}
-            for move, p in moves:
-                members.setdefault(index[move(m)], p)
+            members = dict.fromkeys([j, *(index[move(m)] for move in moves)])
             seen.update(members)
-            orbit[m] = tuple((keys[i], points[i][1], p) for i, p in members.items())
+            orbit[m] = tuple((keys[i], *points[i]) for i in members)
             got.append((m, s, keys[j]))
         return got
 
@@ -318,8 +309,8 @@ def coordinate_symmetries(n, vector_sets):
     as it fixes the image of a vector, all of whose support it has
     assigned, outside the vector's set (Margot, "Symmetry in integer
     linear programming", 2010; Bremner et al., "Computing symmetry
-    groups of polyhedra", LMS J. Comput. Math. 17, 2014)."""
-    identity = tuple(range(n))
+    groups of polyhedra", LMS J. Comput. Math. 17, 2014).  The choices
+    ascend, so the identity, which passes every check, comes first."""
     sets = [[tuple(v) for v in vs] for vs in vector_sets]
     signature = [
         sorted((j, sum(v), v[i]) for j, vs in enumerate(sets) for v in vs)
@@ -329,7 +320,7 @@ def coordinate_symmetries(n, vector_sets):
         [j for j in range(n) if signature[j] == signature[i]] for i in range(n)
     ]
     if all(len(c) == 1 for c in choices):
-        return (identity,)
+        return (tuple(range(n)),)
     # per coordinate i: (set, nonzero entries) of the vectors whose
     # support ends at i
     ending = [[] for _ in range(n)]
@@ -361,8 +352,7 @@ def coordinate_symmetries(n, vector_sets):
             p.pop()
 
     extend([])
-    found.remove(identity)
-    return (identity, *found)
+    return tuple(found)
 
 
 def check_degree(d):
@@ -530,19 +520,6 @@ def exterior_basis(n, k):
     return list(combinations(range(n), k))
 
 
-def exterior_permutation(n, k, p):
-    """[(column, sign)] per column of a k-form block: where the
-    coordinate permutation p (i goes to p[i]) sends dx_I, as the sorted
-    subset p(I) and the sign of sorting it."""
-    place = {I: j for j, I in enumerate(exterior_basis(n, k))}
-    out = []
-    for I in exterior_basis(n, k):
-        J = [p[i] for i in I]
-        inversions = sum(a > b for a, b in combinations(J, 2))
-        out.append((place[tuple(sorted(J))], -1 if inversions % 2 else 1))
-    return out
-
-
 def support(m):
     return tuple(compress(range(len(m)), m))
 
@@ -615,7 +592,7 @@ class BlockModule:
                 capped.setdefault(s, []).append(key)
             else:
                 # every point of the orbit is at its cap too
-                for q, t, _ in orbit[m]:
+                for q, _, t in orbit[m]:
                     capped.setdefault(t, []).append(q)
         for got in self._spanned.pop(d - 1 - self._depth, ()):
             del held[got[0]]

@@ -23,7 +23,7 @@ from invforms.pieces import (
     Grading,
     block_form,
     block_key,
-    exterior_permutation,
+    pack,
     support,
 )
 
@@ -140,7 +140,7 @@ def _wedge_candidates(action, basis, k, *, max_degree=None):
     return out
 
 
-def pullback_image(action, k, bound, basis=None, grading=None):
+def pullback_image(action, k, bound, grading=None):
     """The k-fold wedges of differentials of the invariant generators
     that have degree at most `bound`.
 
@@ -159,8 +159,7 @@ def pullback_image(action, k, bound, basis=None, grading=None):
         raise PreconditionError(f"form degree must be non-negative, got {k}")
     if grading is None:
         grading = Grading(action)
-    if basis is None:
-        basis = monoid_basis(grading, bound)
+    basis = monoid_basis(grading, bound)
     if k > action.n:
         return PullbackImage(k, ())
     first = {}  # m: the first wedge at m
@@ -198,7 +197,7 @@ def target_generator_bound(action, k, basis):
     return support_bound
 
 
-def surjectivity_check(action, k, bound, basis=None, grading=None):
+def surjectivity_check(action, k, bound, grading=None):
     """Degreewise cokernel of the invariant pullback in form degree k.
 
     Verdict is `surjective` only when every piece up to the certified
@@ -218,18 +217,17 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
     symmetries of the scan (`pieces.Grading.symmetry`), so where that
     group is nontrivial only one point per orbit is spanned, and each
     table entry adds the orbit's size times the value there.  At the
-    first degree with a cokernel, each short representative's image
-    rows are moved to every point of its orbit (`_orbit_images`), and
-    the witness is read off those blocks as it would be off blocks
-    spanned one by one.  Blocks of at most NARROW_BLOCK columns are
-    all spanned: on those, spanning a block costs less than listing
-    its orbit does.
+    first degree with a cokernel, the block at every point of each
+    short representative's orbit (`pieces.Grading.orbit`) is spanned
+    from the generators that point dominates, and the witness is read
+    off those blocks as a pointwise sweep reads it.  Blocks of at most
+    NARROW_BLOCK columns are all spanned: on those, spanning a block
+    costs less than listing its orbit does.
     """
     if grading is None:
         grading = Grading(action)
-    if basis is None:
-        basis = monoid_basis(grading, bound)
-    image = pullback_image(action, k, bound, basis=basis, grading=grading)
+    basis = monoid_basis(grading, bound)
+    image = pullback_image(action, k, bound, grading)
     torus = torus_rows(action)
     target_at = cache(lambda s: horizontal_block(action.n, k, s, torus))
     # without a torus every target is the whole block and holds vec
@@ -239,13 +237,8 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
             raise InternalCheckError(
                 f"wedge generator at lattice point {p} is not horizontal"
             )
-    # Sym is read off the scan, which lists M only up to its own bound
-    orbital = (
-        comb(action.n, k) > NARROW_BLOCK
-        and basis is grading.monoid
-        and bound <= basis.search_bound
-        and len(grading.symmetry()) > 1
-    )
+    ncols = comb(action.n, k)
+    orbital = ncols > NARROW_BLOCK and len(grading.symmetry()) > 1
     orbit = grading.orbit if orbital else None
     module = BlockModule(
         grading,
@@ -274,7 +267,15 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
             witness_degrees.append(d)
             if witness is None:
                 if orbit is not None:
-                    short = _orbit_images(action.n, k, short, orbit, target_at)
+                    # span every point of the short orbits as a pointwise
+                    # sweep does: from the generators each one dominates
+                    gens = [(pack(p), vec) for p, vec in image.generator_blocks]
+                    guard = grading.guard
+                    short = [
+                        (q, target_at(t), _image_rows(key, gens, guard, ncols))
+                        for m, _, _ in short
+                        for key, q, t in orbit[m]
+                    ]
                 witness = _cokernel_witness(action.n, k, short)
     table = CokernelTable(k, tuple(rows))
     cert = target_generator_bound(action, k, basis)
@@ -305,32 +306,13 @@ def surjectivity_check(action, k, bound, basis=None, grading=None):
     )
 
 
-def _orbit_images(n, k, blocks, orbit, target_at):
-    """The short blocks (m, target, image rows) at every point of the
-    orbits of the representatives' `blocks`: p carries the image at m,
-    as a signed permutation of k-subsets, onto the image at p(m), whose
-    target is the one at p(supp m)."""
-    maps = {}
-    out = []
-    for m, _, image_rows in blocks:
-        for _, s, p in orbit[m]:
-            if p is None:
-                out.append((m, target_at(s), image_rows))
-                continue
-            signs = maps.get(p)
-            if signs is None:
-                signs = maps[p] = exterior_permutation(n, k, p)
-            point = [0] * n
-            for i, x in zip(p, m):
-                point[i] = x
-            moved = []
-            for r in image_rows:
-                row = [0] * len(r)
-                for (j, sign), x in zip(signs, r):
-                    row[j] = sign * x
-                moved.append(row)
-            out.append((tuple(point), target_at(s), moved))
-    return out
+def _image_rows(key, gens, guard, ncols):
+    """Echelon rows of the generators (packed key, block vector) at the
+    points below the one with packed key `key`, lifted to it; `guard`
+    is `Grading.guard`."""
+    top = key | guard
+    below = [vec for p, vec in gens if (top - p) & guard == guard]
+    return echelon_of(below, ncols).rows
 
 
 def _cokernel_witness(n, k, blocks):

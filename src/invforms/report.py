@@ -60,7 +60,7 @@ def run_analysis(action, max_degree=None, form_degrees=None):
 
     t0 = time.perf_counter()
     surj_results = [
-        surjectivity_check(action, k, bound, basis=basis, grading=grading)
+        surjectivity_check(action, k, bound, grading=grading)
         for k in ks
     ]
     timings["surjectivity"] = _ms(t0)

@@ -129,7 +129,6 @@ def smoothness_verdict(action, bound, surjectivity_results=None, grading=None):
     """
     if grading is None:
         grading = Grading(action)
-    basis = monoid_basis(grading, bound)
     dim_y = quotient_dimension(action, grading)
     monoid = monoid_smooth(action, bound, grading)
     if action.torus_rank == 0:
@@ -138,7 +137,7 @@ def smoothness_verdict(action, bound, surjectivity_results=None, grading=None):
         st = "not_applicable"
     if surjectivity_results is None:
         surjectivity_results = [
-            surjectivity_check(action, k, bound, basis=basis, grading=grading)
+            surjectivity_check(action, k, bound, grading=grading)
             for k in range(1, dim_y + 1)
         ]
     surj = [(res.k, res.verdict) for res in surjectivity_results]

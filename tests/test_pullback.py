@@ -205,12 +205,12 @@ def test_capped_wedges_are_the_wedges_up_to_the_cap(act, cap):
 @example(make_action(4, torus_rank=1, weight_matrix=[[3, -2, -1, -1]]), 6)
 def test_blocks_match_the_piecewide_route(act, bound):
     grading = Grading(act)
-    basis = hilbert_basis(act, bound, grading)
+    basis = monoid_basis(grading, bound)
     torus = [act.torus_row(j) for j in range(act.torus_rank)]
     raw = act.weight_matrix, act.torus_rank, act.finite_orders, act.n
     points = [brute_weight0_monomials(*raw, d) for d in range(bound + 1)]
     for k in range(act.n + 1):
-        res = surjectivity_check(act, k, bound, basis=basis, grading=grading)
+        res = surjectivity_check(act, k, bound, grading=grading)
         rows, witness = piecewide_cokernel_table(act, k, bound, basis)
         assert res.table.rows == rows
         assert str(res.witness) == str(witness)
@@ -367,6 +367,14 @@ def test_orbits_give_the_pointwise_checks_on_the_corpus(corpus_dir):
 @given(actions(max_n=5))
 @example(make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]]))
 @example(make_action(4, torus_rank=1, weight_matrix=[[1, 1, -1, -1]]))
+# |Sym| = 72, with witnesses at k = 2..5
+@example(make_action(6, torus_rank=1, weight_matrix=[[1, 1, 1, -1, -1, -1]]))
+# |Sym| = 12, with witnesses at every k
+@example(
+    make_action(
+        6, finite_orders=[3, 3], weight_matrix=[[1, 1, 1, 2, 2, 2], [1, 2, 0, 1, 2, 0]]
+    )
+)
 def test_orbits_give_the_pointwise_checks(act):
     orbits, points, _ = _with_and_without_orbits(act, 7)
     assert orbits == points
