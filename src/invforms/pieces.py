@@ -74,8 +74,11 @@ is additive, so m - p >= 0 has weight zero exactly when m does: the
 weight-zero points of degree d that dominate p are exactly p + q for
 q in weight_zero(d - |p|).  A `BlockModule` holds its generators
 ascending by degree and adds the keys of those q to the key of each,
-so a point gets the generators it dominates in scan order, and reduces
-them until the block's rank reaches its cap, the most it can hold.
+so a point gets the generators it dominates in scan order.  Each is
+inserted into the point's echelon as it is lifted, until the block's
+rank reaches its cap, the most it can hold; later ones are skipped
+unreduced.  This is the only place generators are reduced: a module
+may hold dependent ones, as a pullback image does.
 
 Blocks saturate up the monoid.  Let q <= m be weight-zero points with
 supp q = supp m.  Then x^(m - q) is invariant and moves the block at q
@@ -209,8 +212,9 @@ class Grading:
                 for p in sym[1:]
             ]
             self._symmetry = scan, sym, moves
-            self._orbits = {}
-            self.orbit = {}
+            # cleared in place: a BlockModule holds `orbit`
+            self._orbits.clear()
+            self.orbit.clear()
         return self._symmetry[1]
 
     def orbit_blocks(self, k, d):
@@ -562,7 +566,9 @@ class BlockModule:
         )
         self._capped = {}  # support: packed keys of points at their cap
         self._held = {}  # key: echelon of a spanned point
-        self._spanned = {}  # degree: (key, echelon, supp, cap, m) of those points
+        # degree: {key: (echelon, cap, parent | guard or None, supp, m)}
+        # of those points
+        self._spanned = {}
         # a parent lies at most the largest Hilbert-basis degree below
         self._depth = grading.monoid.max_degree if grading.monoid else 0
 
@@ -575,17 +581,17 @@ class BlockModule:
         a nonzero block, in `Grading.zero_blocks` order, or with `orbits`
         for the orbit representatives among them, in
         `Grading.orbit_blocks` order.  None marks a saturated point,
-        whose block has rank cap(supp m); an open point gets the echelon
-        of the generators lifted to it, seeded from its parent's when
-        that was spanned, and spanned in order until its rank reaches
-        the cap.  A representative's block stands for every point of
+        whose block has rank cap(supp m); an open point gets an echelon,
+        seeded from its parent's when that was spanned, into which the
+        generators lifted to it are inserted in order while its rank is
+        below the cap.  A representative's block stands for every point of
         its orbit, which `Grading.orbit[m]` lists.  Degrees must be
         asked for one after another, ascending."""
         guard = self._grading.guard
         capped = self._capped
         held = self._held
         orbit = self._orbit
-        for key, ech, s, full, m in self._spanned.get(d - 1, ()):
+        for key, (ech, full, _, s, m) in self._spanned.get(d - 1, {}).items():
             if ech.rank != full:
                 continue
             if orbit is None:
@@ -594,11 +600,12 @@ class BlockModule:
                 # every point of the orbit is at its cap too
                 for q, _, t in orbit[m]:
                     capped.setdefault(t, []).append(q)
-        for got in self._spanned.pop(d - 1 - self._depth, ()):
-            del held[got[0]]
+        for key in self._spanned.pop(d - 1 - self._depth, ()):
+            del held[key]
         parents = self._grading.parents
+        caps = self._caps
         out = []
-        lifted = {}  # key: (vectors, parent | guard or None, position, m, s, seed)
+        lifted = self._spanned[d] = {}
         for m, s, key in self._points(self._k, d):
             top = key | guard
             for q in capped.get(s, ()):
@@ -606,10 +613,17 @@ class BlockModule:
                     out.append((m, s, None))
                     break
             else:
+                full = caps.get(s)
+                if full is None:
+                    full = caps[s] = self._cap(s)
+                ech = Echelon(self._ncols)
                 parent = parents.get(key)
                 seed = held.get(parent)
-                lifted[key] = [], seed and parent | guard, len(out), m, s, seed
-                out.append(None)
+                if seed is not None:
+                    ech.rows, ech.pivots = seed.rows[:], seed.pivots[:]
+                lifted[key] = ech, full, seed and parent | guard, s, m
+                held[key] = ech
+                out.append((m, s, ech))
         if lifted:
             zero_keys = self._grading.weight_zero_keys
             for p, deg, vec in self._gens:
@@ -618,27 +632,12 @@ class BlockModule:
                 for q in zero_keys(d - deg):
                     got = lifted.get(p + q)
                     if got is not None:
+                        ech, full, below, _, _ = got
                         # the seed already spans the generators below it
-                        if got[1] is None or (got[1] - p) & guard != guard:
-                            got[0].append(vec)
-        caps = self._caps
-        spanned = self._spanned[d] = []
-        for key, (vecs, _, i, m, s, seed) in lifted.items():
-            full = caps.get(s)
-            if full is None:
-                full = caps[s] = self._cap(s)
-            ech = Echelon(self._ncols)
-            if seed is not None:
-                ech.rows, ech.pivots = seed.rows[:], seed.pivots[:]
-            rank = ech.rank
-            for vec in vecs:
-                if rank == full:
-                    break
-                if ech.insert(vec) is not None:
-                    rank += 1
-            held[key] = ech
-            spanned.append((key, ech, s, full, m))
-            out[i] = (m, s, ech)
+                        if ech.rank < full and (
+                            below is None or (below - p) & guard != guard
+                        ):
+                            ech.insert(vec)
         return out
 
 

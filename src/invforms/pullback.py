@@ -38,10 +38,10 @@ NARROW_BLOCK = 3
 class PullbackImage:
     """Wedge generators of the pullback image of the quotient k-forms.
 
-    Each generator is kept as its lattice point and Plücker vector
-    (`generator_blocks`, see `pieces`), listed by total degree; the
-    engine reads only these.  `wedge_generators` are the same wedges as
-    forms, built on first use.
+    Each nonzero wedge is kept as its lattice point and Plücker vector
+    (`generator_blocks`, see `pieces`), listed by total degree, dependent
+    ones included; the engine reads only these.  `wedge_generators` are
+    the same wedges as forms, built on first use.
     """
 
     k: int
@@ -142,18 +142,9 @@ def _wedge_candidates(action, basis, k, *, max_degree=None):
 
 def pullback_image(action, k, bound, grading=None):
     """The k-fold wedges of differentials of the invariant generators
-    that have degree at most `bound`.
-
-    A wedge that is a constant-linear combination of earlier wedges at
-    its lattice point m is dropped; that never shrinks the spanned
-    module.  The first, nonzero, is kept unreduced, and the echelon at m
-    is built when a second arrives.  Wedges at m have their minors on
-    the k-subsets of supp m, so once those kept span all C(|supp m|, k)
-    of them, later ones are dropped without being reduced; where that
-    cap is 1 the first spans the block and no echelon is built.
-    All wedges at one lattice point share its degree, so the cap drops
-    whole lattice points and keeps the same wedges below it.  Generators
-    are listed by total degree, then in subset order.
+    that have degree at most `bound`: every nonzero one, listed by total
+    degree, then in subset order.  Dependent wedges are kept; the blocks
+    they are lifted to reduce them (`pieces.BlockModule`).
     """
     if k < 0:
         raise PreconditionError(f"form degree must be non-negative, got {k}")
@@ -162,23 +153,9 @@ def pullback_image(action, k, bound, grading=None):
     basis = monoid_basis(grading, bound)
     if k > action.n:
         return PullbackImage(k, ())
-    first = {}  # m: the first wedge at m
-    blocks = {}  # m: (echelon or None at cap 1, its cap C(|supp m|, k))
-    kept = []
-    for m, vec in _wedge_candidates(action, basis, k, max_degree=bound):
-        got = blocks.get(m)
-        if got is None:
-            if first.setdefault(m, vec) is vec:
-                kept.append((m, vec))
-                continue
-            cap = comb(len(m) - m.count(0), k)
-            ech = echelon_of([first[m]], len(vec)) if cap > 1 else None
-            got = blocks[m] = ech, cap
-        ech, cap = got
-        if ech is not None and ech.rank < cap and ech.insert(vec) is not None:
-            kept.append((m, vec))
-    kept.sort(key=lambda b: sum(b[0]))
-    return PullbackImage(k, tuple(kept))
+    wedges = _wedge_candidates(action, basis, k, max_degree=bound)
+    wedges.sort(key=lambda b: sum(b[0]))
+    return PullbackImage(k, tuple(wedges))
 
 
 def target_generator_bound(action, k, basis):

@@ -359,10 +359,10 @@ def test_echelons_stay_within_one_block(monkeypatch):
     # 723 with no echelon built at a wedge point of cap 1, 248 with one
     # surjectivity block spanned per orbit of the 8 coordinate
     # symmetries (65 orbits of 264 points), 252 with the witness's
-    # orbit points spanned from the generators they dominate; a
-    # representative whose monoid parent is no representative is
-    # spanned without a seed
-    assert len(widths) == 252
+    # orbit points spanned from the generators they dominate, 173 with
+    # wedges reduced only in the blocks; a representative whose monoid
+    # parent is no representative is spanned without a seed
+    assert len(widths) == 173
 
 
 def test_saturated_blocks_skip_block_span(spanned, corpus_dir):

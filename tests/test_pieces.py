@@ -424,3 +424,42 @@ def test_seeded_blocks_match_unseeded_blocks(corpus_dir):
             assert not fresh.parents
     # t_11m3, z4_11 and z8_13 have no reducible point up to the bound
     assert with_parents == 32
+
+
+def test_blocks_never_insert_past_the_cap(monkeypatch, corpus_dir):
+    """Blocks are the only place wedges are reduced, and a block stops
+    taking generators once its rank reaches its cap: every insert into an
+    echelon a module hands out finds it below cap(supp m)."""
+    from invforms.linalg import Echelon
+
+    bound = 6
+    insert = Echelon.insert
+    ranks = {}  # id(echelon): its rank before each insert
+    alive = []  # the echelons inserted into, so no id is reused
+
+    def recorded(self, row):
+        ranks.setdefault(id(self), []).append(self.rank)
+        alive.append(self)
+        return insert(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", recorded)
+    n5_z3 = make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]])
+    actions = [load_action(p) for p in sorted(corpus_dir.glob("*.json"))]
+    checked = 0
+    for act in [*actions, n5_z3]:
+        rows = torus_rows(act)
+        for k in range(act.n + 1):
+            cap = lambda s: len(horizontal_block(act.n, k, s, rows))  # noqa: E731
+            for orbits in (False, True):
+                grading = Grading(act)
+                monoid_basis(grading, bound)
+                gens = pullback_image(act, k, bound, grading=grading).generator_blocks
+                module = BlockModule(grading, k, cap, gens, orbits=orbits)
+                for d in range(bound + 1):
+                    ranks.clear()
+                    for m, s, ech in module.blocks(d):
+                        if ech is not None:
+                            got = ranks.get(id(ech), ())
+                            assert all(r < cap(s) for r in got), (act, k, m)
+                            checked += len(got)
+    assert checked > 0

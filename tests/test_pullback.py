@@ -280,48 +280,24 @@ def test_torsion_free_rank():
     assert torsion_free_rank(act, 2) == 1
 
 
-def test_no_candidate_is_reduced_into_a_full_block(monkeypatch, corpus_dir):
-    """Once the echelon at m holds C(|supp m|, k) wedges it rejects every
-    vector, so `pullback_image` stops reducing candidates into it."""
-    import invforms.pullback
-    from invforms.linalg import Echelon
+def test_pullback_image_keeps_every_nonzero_wedge(corpus_dir):
+    """The image lists every nonzero wedge up to the bound, dependent
+    ones included, by degree and then in subset order; only the blocks
+    they are lifted to reduce them."""
     from invforms.report import default_bound
 
     act = load_action(corpus_dir / "z3_111.json")
     bound = default_bound(act)
-    wedges = invforms.pullback._wedge_candidates
-    insert = Echelon.insert
-    points = {}  # id(candidate vector): its lattice point
-    inserted = []
-    full = []
-
-    def recorded(*args, **kwargs):
-        got = wedges(*args, **kwargs)
-        points.update((id(vec), m) for m, vec in got)
-        return got
-
-    def counted(self, row):
-        m = points[id(row)]
-        inserted.append(m)
-        if self.rank == comb(len(m) - m.count(0), k):
-            full.append(m)
-        return insert(self, row)
-
-    monkeypatch.setattr(invforms.pullback, "_wedge_candidates", recorded)
-    monkeypatch.setattr(Echelon, "insert", counted)
+    basis = monoid_basis(Grading(act), bound)
     counts = []
     for k in (1, 2, 3):
-        points.clear()
-        inserted.clear()
-        kept = pullback_image(act, k, bound).generator_blocks
-        counts.append((len(points), len(inserted), len(kept)))
-    assert full == []
-    # (candidates, reductions, kept): a point's first wedge is kept
-    # unreduced and reduced only when a second one arrives there, except
-    # where the cap is 1 (3 points for k = 2, all 25 for k = 3) and the
-    # first fills the block; 3 and 77 candidates for k = 2, 3 meet a
-    # full block and are dropped unreduced
-    assert counts == [(10, 0, 10), (45, 27, 35), (105, 0, 28)]
+        want = sorted(
+            _wedge_candidates(act, basis, k, max_degree=bound),
+            key=lambda b: sum(b[0]),
+        )
+        assert list(pullback_image(act, k, bound).generator_blocks) == want
+        counts.append(len(want))
+    assert counts == [10, 45, 105]
 
 
 def _checks(act, bound):
