@@ -40,14 +40,12 @@ def hilbert_basis(action, bound, grading=None):
     """Minimal generators of the weight-zero monoid up to total degree `bound`.
 
     This is the monoid scan: a point is a generator when it dominates
-    no generator of lower degree, tested on packed keys (`pieces`); any
-    other point m records the key of m - h, h the first generator it
-    dominates, as its parent in `grading.parents`.  The scan walks
-    degrees 1..min(bound, c), c the certificate bound; past c the basis
-    is complete, so each degree up to `bound` is listed from sums of the
-    basis by `Grading.sums`, which records the same parents, and is not
-    scanned.  Within one call, take the basis from `monoid_basis`,
-    which keeps the grading's scan.
+    no generator of lower degree, tested on packed keys (`pieces`).  The
+    scan walks degrees 1..min(bound, c), c the certificate bound; past c
+    the basis is complete, so each degree up to `bound` is listed from
+    sums of the basis by `Grading.sums` and is not scanned.  Within one
+    call, take the basis from `monoid_basis`, which keeps the grading's
+    scan.
     """
     if bound < 1:
         raise PreconditionError(f"bound must be at least 1, got {bound}")
@@ -64,14 +62,13 @@ def hilbert_basis(action, bound, grading=None):
             top = key | guard
             for g in keys:
                 if (top - g) & guard == guard:
-                    grading.parents[key] = key - g
                     break
             else:
                 gens.append(exps)
                 keys.append(key)
     basis = [(key, sum(g)) for g, key in zip(gens, keys)]
     for d in range(cert + 1, bound + 1):
-        grading.parents.update(grading.sums(d, basis))
+        grading.sums(d, basis)
     return MonoidBasis(tuple(gens), bound >= cert, bound, cert)
 
 

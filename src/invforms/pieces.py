@@ -61,10 +61,9 @@ for a basis element h <= m and a point q = m - h of degree d - |h|
 (Bruns–Ichim, J. Algebra 324 (2010): the points of a normal monoid are
 the sums of its Hilbert basis).  `Grading.sums` lists such a degree as
 the union over h of the keys of weight_zero(d - |h|) plus key(h),
-sorted, and decodes each key to its point, instead of walking it; the
-parent it gives m is m - h for the first h in basis order with h <= m,
-the scan's own rule.  Only the scan calls it, so a fresh Grading, and
-any degree listed before the scan, is walked.
+sorted, and decodes each key to its point, instead of walking it.
+Only the scan calls it, so a fresh Grading, and any degree listed
+before the scan, is walked.
 
 Blocks are lifted up the monoid.  The block at m of a module generated
 by block vectors at points p is spanned by the generators with p <= m,
@@ -72,13 +71,17 @@ moved to m unchanged: multiplying by x^(m - p) keeps the coordinates
 of a block vector.  Generators sit at weight-zero points, and weight
 is additive, so m - p >= 0 has weight zero exactly when m does: the
 weight-zero points of degree d that dominate p are exactly p + q for
-q in weight_zero(d - |p|).  A `BlockModule` holds its generators
-ascending by degree and adds the keys of those q to the key of each,
-so a point gets the generators it dominates in scan order.  Each is
-inserted into the point's echelon as it is lifted, until the block's
-rank reaches its cap, the most it can hold; later ones are skipped
-unreduced.  This is the only place generators are reduced: a module
-may hold dependent ones, as a pullback image does.
+q in weight_zero(d - |p|).  A `BlockModule` holds one entry per
+generator point p, with the vectors there in order, ascending by
+degree, and adds the keys of those q to the key of each, so each point
+p is looked up once per point m it lifts to.  Its vectors are inserted
+into m's echelon as they are lifted, until the block's rank reaches
+its cap, the most it can hold; later ones are skipped unreduced.  This
+is the only place generators are reduced: a module may hold dependent
+ones, as a pullback image does.  The order of insertion does not
+matter: echelon rows are the canonical reduced form of their span
+(`linalg`), and a block at its cap spans the whole space that holds
+its generators.
 
 Blocks saturate up the monoid.  Let q <= m be weight-zero points with
 supp q = supp m.  Then x^(m - q) is invariant and moves the block at q
@@ -90,18 +93,6 @@ records q under its support, and a later m that dominates it takes the
 cap without being spanned.  The blocks of a degree are recorded when
 the next degree is asked for, so a caller may first extend the echelon
 at q, as `invariants.invariant_form_generators` does with its basis.
-
-Blocks are seeded.  The monoid scan gives each reducible point m a
-parent q = m - h, h in the Hilbert basis (`invariants.hilbert_basis`).
-If q was spanned, m starts from a copy of q's echelon, sharing its rows
-(never changed in place), and reduces only the generators p not <= q.
-This is exact: lifting keeps coordinates, so the span at q lies in that
-at m; a parent at its cap spans every generator <= q, the cap being the
-dimension of the space holding them; a caller's extension at q is added
-as generators at q; and echelon rows are the canonical reduced form of
-their span (`linalg`), so the rows, rank and capped status at m do not
-depend on the rows started from.  Only the last degrees, where a parent
-can lie, keep their echelons.
 
 Orbits.  Let Sym be the group of coordinate permutations p (coordinate
 i goes to p[i]) that map the scanned Hilbert basis onto itself and the
@@ -154,17 +145,15 @@ class Grading:
     bound, dim Y (in `dimension`, see `invariants.quotient_dimension`)
     and the canonical interior (`canonical.toric_canonical_series`) are
     read, and in `monoid` the Hilbert-basis scan at the call's bound
-    (see `invariants.monoid_basis`), with the parents it records.  The
-    coordinate symmetries of the scan and the orbits of the weight-zero
-    points under them are listed on first use (see the module
-    docstring).
+    (see `invariants.monoid_basis`).  The coordinate symmetries of the
+    scan and the orbits of the weight-zero points under them are listed
+    on first use (see the module docstring).
     """
 
     def __init__(self, action):
         self.action = action
         self.monoid = None
         self.dimension = None
-        self.parents = {}
         # the guard bits of the packed keys (see the module docstring)
         self.guard = pack((1 << (KEY_WIDTH - 1),) * action.n)
         self._certificate = None
@@ -246,26 +235,23 @@ class Grading:
         return got
 
     def sums(self, d, basis):
-        """{key of m: key of m - h} over the weight-zero points m of
-        degree d, h the first of `basis` with h <= m, where `basis` is
-        [(packed key, degree)] of the whole Hilbert basis in scan order
-        and every element has degree below d.  Lists degree d from these
-        sums unless it is listed already (see the module docstring)."""
-        found = {}
-        for h, e in reversed(basis):
-            # a later update overwrites: the first h that gives m wins
-            qs = self.weight_zero_keys(d - e)
-            found.update(zip(map(h.__add__, qs), qs))
-        if d not in self._weight_zero:
-            check_degree(d)
-            n = self.action.n
-            keys = sorted(found)
-            # one KEY_WIDTH = 16-bit field per coordinate, m_0 highest
-            unpack = Struct(f">{n}H").unpack
-            raw = map(int.to_bytes, keys, repeat(2 * n), repeat("big"))
-            points = list(map(unpack, raw))
-            self._weight_zero[d] = list(zip(points, map(support, points))), keys
-        return found
+        """List degree d, unless it is listed already, as the sorted set
+        of h + q over `basis`, [(packed key, degree)] of the whole
+        Hilbert basis with every degree below d, and q in
+        `weight_zero_keys(d - |h|)` (see the module docstring)."""
+        if d in self._weight_zero:
+            return
+        check_degree(d)
+        found = set()
+        for h, e in basis:
+            found.update(map(h.__add__, self.weight_zero_keys(d - e)))
+        n = self.action.n
+        keys = sorted(found)
+        # one KEY_WIDTH = 16-bit field per coordinate, m_0 highest
+        unpack = Struct(f">{n}H").unpack
+        raw = map(int.to_bytes, keys, repeat(2 * n), repeat("big"))
+        points = list(map(unpack, raw))
+        self._weight_zero[d] = list(zip(points, map(support, points))), keys
 
     def _enumerate(self, d):
         check_degree(d)
@@ -559,39 +545,38 @@ class BlockModule:
         self._cap = cap
         self._caps = {}  # support: cap
         self._ncols = comb(grading.action.n, k)
-        # (packed key, degree, vector), ascending by degree; the sort is
-        # stable, so generators of one degree keep their order
+        # (packed key, degree, [vectors]) per generator point, ascending
+        # by degree; the sort is stable, so vectors keep their order
+        points = {}
+        for m, vec in blocks:
+            points.setdefault(m, []).append(vec)
         self._gens = sorted(
-            ((pack(m), sum(m), vec) for m, vec in blocks), key=itemgetter(1)
+            ((pack(m), sum(m), vecs) for m, vecs in points.items()),
+            key=itemgetter(1),
         )
         self._capped = {}  # support: packed keys of points at their cap
-        self._held = {}  # key: echelon of a spanned point
-        # degree: {key: (echelon, cap, parent | guard or None, supp, m)}
-        # of those points
+        # key: (echelon, cap, supp, m) of the last degree's spanned points
         self._spanned = {}
-        # a parent lies at most the largest Hilbert-basis degree below
-        self._depth = grading.monoid.max_degree if grading.monoid else 0
 
     def add(self, m, vec):
         """Add a generator at m, of no lower degree than those held."""
-        self._gens.append((pack(m), sum(m), vec))
+        self._gens.append((pack(m), sum(m), [vec]))
 
     def blocks(self, d):
         """[(m, supp m, echelon or None)] for the points of degree d with
         a nonzero block, in `Grading.zero_blocks` order, or with `orbits`
         for the orbit representatives among them, in
         `Grading.orbit_blocks` order.  None marks a saturated point,
-        whose block has rank cap(supp m); an open point gets an echelon,
-        seeded from its parent's when that was spanned, into which the
-        generators lifted to it are inserted in order while its rank is
-        below the cap.  A representative's block stands for every point of
-        its orbit, which `Grading.orbit[m]` lists.  Degrees must be
-        asked for one after another, ascending."""
+        whose block has rank cap(supp m); an open point gets an echelon
+        into which the vectors of each generator point lifted to it are
+        inserted in order while its rank is below the cap.  A
+        representative's block stands for every point of its orbit,
+        which `Grading.orbit[m]` lists.  Degrees must be asked for one
+        after another, ascending."""
         guard = self._grading.guard
         capped = self._capped
-        held = self._held
         orbit = self._orbit
-        for key, (ech, full, _, s, m) in self._spanned.get(d - 1, {}).items():
+        for key, (ech, full, s, m) in self._spanned.items():
             if ech.rank != full:
                 continue
             if orbit is None:
@@ -600,12 +585,9 @@ class BlockModule:
                 # every point of the orbit is at its cap too
                 for q, _, t in orbit[m]:
                     capped.setdefault(t, []).append(q)
-        for key in self._spanned.pop(d - 1 - self._depth, ()):
-            del held[key]
-        parents = self._grading.parents
         caps = self._caps
         out = []
-        lifted = self._spanned[d] = {}
+        lifted = self._spanned = {}
         for m, s, key in self._points(self._k, d):
             top = key | guard
             for q in capped.get(s, ()):
@@ -617,26 +599,20 @@ class BlockModule:
                 if full is None:
                     full = caps[s] = self._cap(s)
                 ech = Echelon(self._ncols)
-                parent = parents.get(key)
-                seed = held.get(parent)
-                if seed is not None:
-                    ech.rows, ech.pivots = seed.rows[:], seed.pivots[:]
-                lifted[key] = ech, full, seed and parent | guard, s, m
-                held[key] = ech
+                lifted[key] = ech, full, s, m
                 out.append((m, s, ech))
         if lifted:
             zero_keys = self._grading.weight_zero_keys
-            for p, deg, vec in self._gens:
+            for p, deg, vecs in self._gens:
                 if deg > d:
                     break
                 for q in zero_keys(d - deg):
                     got = lifted.get(p + q)
                     if got is not None:
-                        ech, full, below, _, _ = got
-                        # the seed already spans the generators below it
-                        if ech.rank < full and (
-                            below is None or (below - p) & guard != guard
-                        ):
+                        ech, full, _, _ = got
+                        for vec in vecs:
+                            if ech.rank == full:
+                                break
                             ech.insert(vec)
         return out
 

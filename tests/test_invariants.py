@@ -353,16 +353,8 @@ def test_echelons_stay_within_one_block(monkeypatch):
     act = make_action(5, finite_orders=[3], weight_matrix=[[1, 1, 2, 2, 0]])
     run_analysis(act, max_degree=7)
     assert max(widths) <= 10  # C(5, 2), the widest block at n = 5
-    # reductions per analysis (the benchmark's n5_z3): 1,574 with every
-    # block spanned from nothing and every wedge reduced, 727 with blocks
-    # seeded from their monoid parents and first wedges kept unreduced,
-    # 723 with no echelon built at a wedge point of cap 1, 248 with one
-    # surjectivity block spanned per orbit of the 8 coordinate
-    # symmetries (65 orbits of 264 points), 252 with the witness's
-    # orbit points spanned from the generators they dominate, 173 with
-    # wedges reduced only in the blocks; a representative whose monoid
-    # parent is no representative is spanned without a seed
-    assert len(widths) == 173
+    # the benchmark's n5_z3: every open block is spanned from nothing
+    assert len(widths) == 333
 
 
 def test_saturated_blocks_skip_block_span(spanned, corpus_dir):
