@@ -1,9 +1,10 @@
 """Canonical module of the quotient, by two independent routes.
 
 Route one: invariant horizontal top-forms (top = quotient dimension),
-with their Hilbert series.  Route two: the combinatorial canonical
-module of the invariant semigroup ring, spanned by the weight-zero
-monomials interior to the monoid's cone.  On strongly stable small
+with the Hilbert series counted by the sweep that finds their minimal
+generators.  Route two: the combinatorial canonical module of the
+invariant semigroup ring, spanned by the weight-zero monomials
+interior to the monoid's cone.  On strongly stable small
 actions the two series must agree degree by degree under the
 convention that a form's total degree counts each dx once.
 
@@ -23,11 +24,7 @@ therefore also the union of the Hilbert-basis supports.
 """
 
 from invforms.action import finite_reflection_elements
-from invforms.invariants import (
-    hilbert_series_of,
-    invariant_form_generators,
-    quotient_dimension,
-)
+from invforms.invariants import invariant_form_generators, quotient_dimension
 from invforms.linalg import rank_of_rows
 from invforms.pieces import Grading, support
 
@@ -72,7 +69,7 @@ def canonical_comparison(action, truncation, grading=None):
     if grading is None:
         grading = Grading(action)
     module = canonical_invariants(action, truncation, grading)
-    forms = hilbert_series_of(module, action, truncation, grading)
+    forms = module.series
     toric = toric_canonical_series(action, truncation, grading)
     reflections = finite_reflection_elements(action)
     stable = torus_part_strongly_stable(action, grading)

@@ -6,14 +6,15 @@ mismatch (corpus), 4 theorem-equivalence violation on a certified
 instance (corpus).  Commands raise their input errors as
 `PreconditionError`, and `main` alone maps an engine error to its exit
 code: 1 for a `PreconditionError`, 2 for any other `EngineError`.  A
-spec that cannot be loaded exits 1.  `corpus` stops at the first spec
-that fails, naming its path, with the same codes.
+spec that cannot be loaded exits 1.  `corpus` analyzes its specs in
+one process, in sorted order, and stops at the first spec that fails,
+naming its path, with the same codes; it prints nothing on stdout
+until every spec has been analyzed.
 """
 
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from invforms.action import Weight, load_action
@@ -45,7 +46,6 @@ def main(argv=None):
     p.add_argument("corpus_dir")
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--json", dest="json_out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("euler", help="contraction homology table of one piece")
@@ -117,21 +117,7 @@ def cmd_analyze(args):
     return 2 if report["inconclusive"] else 0
 
 
-def _corpus_worker(item):
-    """(name, report, None), or (name, None, exc) when the spec is
-    malformed or the analysis raises the engine error `exc`; both kinds
-    pickle, so they come back from a pool worker."""
-    name, path, max_degree = item
-    try:
-        report = run_analysis(load_action(path), max_degree=max_degree)
-    except (EngineError, json.JSONDecodeError) as exc:
-        return name, None, exc
-    return name, report, None
-
-
 def cmd_corpus(args):
-    if args.jobs < 1:
-        raise PreconditionError(f"--jobs must be at least 1, got {args.jobs}")
     root = Path(args.corpus_dir)
     if not root.is_dir():
         raise PreconditionError(f"not a directory: {root}")
@@ -140,22 +126,17 @@ def cmd_corpus(args):
     )
     if not specs:
         raise PreconditionError(f"empty corpus: {root}")
-    items = [(p.stem, str(p), args.max_degree) for p in specs]
-    if args.jobs > 1:
-        # the pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(items))) as pool:
-            done = list(pool.map(_corpus_worker, items))
-    else:
-        done = map(_corpus_worker, items)
     results = {}
-    for path, (name, report, error) in zip(specs, done):
-        if error is not None:
-            print(f"error: {path}: {error}", file=sys.stderr)
+    for path in specs:
+        try:
+            report = run_analysis(load_action(path), max_degree=args.max_degree)
+        except (EngineError, json.JSONDecodeError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
             # 1 for a spec that cannot be loaded or a precondition, as
             # `_load` and `main` give; 2 for any other engine error
             input_errors = (json.JSONDecodeError, ValidationError, PreconditionError)
-            return 1 if isinstance(error, input_errors) else 2
-        results[name] = report
+            return 1 if isinstance(exc, input_errors) else 2
+        results[path.stem] = report
 
     violations = []
     mismatches = []

@@ -100,19 +100,18 @@ class GradedSubmodule:
     """Minimal generators, over the invariant ring, of a module of k-forms.
 
     The list is certified minimal-and-spanning for all pieces of total
-    degree <= generator_bound; `basis_complete` records whether the
-    invariant-ring generators themselves were certified at that bound.
-    Generators are kept as (lattice point, block vector) pairs in
-    `generator_blocks`, with their total degrees in `generator_degrees`;
-    the engine reads only these, and `generators` builds the same
-    generators as forms on first use.
+    degree up to the sweep's bound, and `series` holds the module's
+    weight-zero dimension in each degree 0..bound.  Generators are kept
+    as (lattice point, block vector) pairs in `generator_blocks`, with
+    their total degrees in `generator_degrees`; the engine reads only
+    these, and `generators` builds the same generators as forms on first
+    use.
     """
 
     form_degree: int
     generator_blocks: tuple
     generator_degrees: tuple
-    generator_bound: int
-    basis_complete: bool
+    series: tuple
 
     @cached_property
     def generators(self):
@@ -136,7 +135,9 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
 
     Once a block is swept it holds its whole canonical basis, its cap,
     so a later point that dominates it with the same support finds
-    nothing new and is saturated.
+    nothing new and is saturated.  Every block of the sweep thus ends
+    at its cap, saturated or swept, and the module's series is the sum
+    of the caps of each degree's blocks.
     """
     if bound < k:
         raise PreconditionError(f"bound {bound} below form degree {k}")
@@ -149,23 +150,24 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
     module = BlockModule(grading, k, lambda s: len(basis_at(s)))
     blocks = []
     degrees = []
+    series = [0] * k
     for d in range(k, bound + 1):
         # every generator so far has degree below d
         found = []
+        dim = 0
         for m, s, ech in module.blocks(d):
+            dim += len(basis_at(s))
             if ech is not None:
                 for v in basis_at(s):
                     if ech.insert(v) is not None:
                         found.append((block_key(n, k, m, v), m, v))
+        series.append(dim)
         found.sort(key=itemgetter(0))
         for _, m, v in found:
             module.add(m, v)
             blocks.append((m, v))
         degrees.extend(d for _ in found)
-    # whether monoid_basis(grading, max(bound, 1)) would be complete,
-    # read off the certificate bound without a monoid scan
-    complete = max(bound, 1) >= grading.certificate_bound()
-    return GradedSubmodule(k, tuple(blocks), tuple(degrees), bound, complete)
+    return GradedSubmodule(k, tuple(blocks), tuple(degrees), tuple(series))
 
 
 def invariant_ring_series(action, truncation, grading=None):
@@ -176,6 +178,7 @@ def invariant_ring_series(action, truncation, grading=None):
     return tuple(len(grading.weight_zero(d)) for d in range(truncation + 1))
 
 
+# No engine path reads it: kept for perfbench/, which traces it, and the tests.
 def hilbert_series_of(module, action, truncation, grading=None):
     """Per-degree weight-zero dimensions, 0..truncation, of the
     invariant-ring span of a GradedSubmodule, block by block

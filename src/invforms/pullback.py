@@ -17,7 +17,7 @@ from operator import add, mul
 from invforms.errors import InternalCheckError, PreconditionError
 from invforms.euler import horizontal_block, torus_rows
 from invforms.invariants import monoid_basis
-from invforms.linalg import echelon_of, rank_of_rows
+from invforms.linalg import echelon_of
 from invforms.pieces import (
     BlockModule,
     Grading,
@@ -207,14 +207,16 @@ def surjectivity_check(action, k, bound, grading=None):
     image = pullback_image(action, k, bound, grading)
     torus = torus_rows(action)
     target_at = cache(lambda s: horizontal_block(action.n, k, s, torus))
-    # without a torus every target is the whole block and holds vec
+    ncols = comb(action.n, k)
+    # without a torus every target is the whole block and holds vec; an
+    # insert that finds a pivot leaves the target's span, so it raises
+    # before any echelon grows past its target
+    spans = cache(lambda s: echelon_of(target_at(s), ncols))
     for p, vec in image.generator_blocks if torus else ():
-        target = target_at(support(p))
-        if rank_of_rows(target + [vec], len(vec)) > len(target):
+        if spans(support(p)).insert(vec) is not None:
             raise InternalCheckError(
                 f"wedge generator at lattice point {p} is not horizontal"
             )
-    ncols = comb(action.n, k)
     orbital = ncols > NARROW_BLOCK and len(grading.symmetry()) > 1
     orbit = grading.orbit if orbital else None
     module = BlockModule(

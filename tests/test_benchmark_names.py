@@ -57,7 +57,7 @@ def test_a_traced_analysis_runs_and_unwinds():
         run_analysis(act, max_degree=7)
         got = tr.take()
     assert got["wedges_kept"] == 213
-    assert got["calls"]["linalg.insert"] == 333
+    assert got["calls"]["linalg.insert"] == 332
     wrapped = [
         (name, attr)
         for name, mod in sys.modules.items()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -177,15 +178,6 @@ def test_corpus_bundled_all_agree(corpus_dir, tmp_path, capsys):
     assert "0 violations" in out
 
 
-def test_corpus_parallel_matches_serial(corpus_dir, tmp_path, capsys):
-    s1 = tmp_path / "s1.json"
-    s2 = tmp_path / "s2.json"
-    run(["corpus", str(corpus_dir), "--json", str(s1)])
-    run(["corpus", str(corpus_dir), "--json", str(s2), "--jobs", "2"])
-    assert s1.read_text() == s2.read_text()
-    capsys.readouterr()
-
-
 def test_corpus_empty_dir(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -193,28 +185,48 @@ def test_corpus_empty_dir(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_corpus_error_names_the_spec(tmp_path, capsys, jobs):
+def test_corpus_error_names_the_spec(tmp_path, capsys):
     cdir = tmp_path / "corpus"
     cdir.mkdir()
     write(cdir / "a1.json", A1)
     bad = cdir / "bad.json"
     write(bad, {"n": 2, "finite_orders": [0], "weight_matrix": [[1, 1]]})
-    assert run(["corpus", str(cdir), "--jobs", jobs]) == 1
+    assert run(["corpus", str(cdir)]) == 1
     err = capsys.readouterr().err
     assert f"error: {bad}: finite order m_1 = 0 must be at least 2" in err
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_corpus_exit_code_follows_the_error(corpus_dir, tmp_path, capsys, jobs):
+def test_corpus_stops_at_the_first_failing_spec(monkeypatch, tmp_path, capsys):
+    import invforms.cli
+
+    analyzed = []
+    run_analysis = invforms.cli.run_analysis
+
+    def spy(action, **kwargs):
+        analyzed.append(action)
+        return run_analysis(action, **kwargs)
+
+    monkeypatch.setattr(invforms.cli, "run_analysis", spy)
+    cdir = tmp_path / "corpus"
+    cdir.mkdir()
+    bad = cdir / "a_bad.json"
+    write(bad, {"n": 2, "finite_orders": [0], "weight_matrix": [[1, 1]]})
+    write(cdir / "b_good.json", A1)
+    assert run(["corpus", str(cdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert captured.out == ""
+    assert analyzed == []
+
+
+def test_corpus_exit_code_follows_the_error(corpus_dir, tmp_path, capsys):
     # as in analyze: an engine error exits 2, a precondition 1, and a
-    # spec that cannot be loaded 1; under --jobs 2 the error comes back
-    # from a pool worker
+    # spec that cannot be loaded 1
     cdir = tmp_path / "corpus"
     cdir.mkdir()
     spec = cdir / "z2_10.json"
     spec.write_text((corpus_dir / "z2_10.json").read_text(), encoding="utf-8")
-    argv = ["corpus", str(cdir), "--jobs", jobs]
+    argv = ["corpus", str(cdir)]
     assert run(argv + ["--max-degree", "40000"]) == 2
     assert capsys.readouterr().err == (
         f"error: {spec}: degree 40000 does not fit a 16-bit packed "
@@ -227,46 +239,6 @@ def test_corpus_exit_code_follows_the_error(corpus_dir, tmp_path, capsys, jobs):
     spec.write_text("{", encoding="utf-8")
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {spec}: Expecting")
-
-
-def test_corpus_pool_has_no_more_workers_than_specs(
-    monkeypatch, tmp_path, capsys
-):
-    import invforms.cli
-
-    pools = []
-
-    class InProcessPool:
-        """Records its size and maps in this process: no worker starts."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(invforms.cli, "ProcessPoolExecutor", InProcessPool)
-    cdir = tmp_path / "corpus"
-    cdir.mkdir()
-    write(cdir / "a1.json", A1)
-    write(cdir / "a2.json", A1)
-    assert run(["corpus", str(cdir), "--jobs", "5000"]) == 0
-    assert pools == [2]
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_corpus_rejects_non_positive_jobs(corpus_dir, capsys, jobs):
-    assert run(["corpus", str(corpus_dir), "--jobs", jobs]) == 1
-    captured = capsys.readouterr()
-    assert f"--jobs must be at least 1, got {jobs}" in captured.err
-    assert captured.out == ""
 
 
 def test_corpus_inconclusive_instance(tmp_path, capsys):
@@ -423,3 +395,21 @@ def test_module_entry_point_runs_the_corpus(corpus_dir):
     assert proc.stdout.splitlines()[-1] == (
         "35 instances: 0 violations, 0 golden mismatches, 0 inconclusive"
     )
+
+
+def test_readme_synopsis_lists_each_commands_options(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    synopsis = {
+        line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+        for line in block.splitlines()
+        if line.startswith("invforms ")
+    }
+    assert set(synopsis) == {"analyze", "corpus", "euler", "canonical"}
+    for cmd, listed in synopsis.items():
+        with pytest.raises(SystemExit):
+            main([cmd, "--help"])
+        usage = capsys.readouterr().out
+        options = set(re.findall(r"--[a-z][a-z-]*", usage)) - {"--help"}
+        assert listed == options, cmd
