@@ -21,7 +21,7 @@ from invforms.pieces import (
     block_form,
     block_key,
     block_points,
-    exterior_basis,
+    exterior_index,
     piece_keys,  # unused here; perfbench/ checks its tracer restores this binding
     support,
 )
@@ -74,13 +74,10 @@ def horizontal_piece(action, k, degree, weight, grading=None):
     """
     if grading is None:
         grading = Grading(action)
-    rows = torus_rows(action)
-    bases = {}
     found = []
     for m, s in block_points(grading, k, degree, weight):
-        if s not in bases:
-            bases[s] = horizontal_block(action.n, k, s, rows)
-        found.extend((block_key(action.n, k, m, v), m, v) for v in bases[s])
+        basis = horizontal_target(grading, k, s)
+        found.extend((block_key(action.n, k, m, v), m, v) for v in basis)
     found.sort(key=itemgetter(0))
     return [block_form(action.n, k, m, v) for _, m, v in found]
 
@@ -89,7 +86,7 @@ def torus_rows(action):
     return [action.torus_row(j) for j in range(action.torus_rank)]
 
 
-def horizontal_block(n, k, supp, rows):
+def horizontal_block(n, k, supp, rows, place=None):
     """Canonical basis of the k-forms at a lattice point with support
     `supp` that the contractions by the torus `rows` kill.
 
@@ -97,12 +94,25 @@ def horizontal_block(n, k, supp, rows):
     restricted to the support: x^(m - e_I) dx_I goes to
     sum_r (-1)^(k-1-r) w_(I_r) x^(m - e_J) dx_J, J = I minus I_r, in the
     (k-1)-block at the same m.  The kernel basis (one vector per free
-    column, ascending) is returned as block vectors (`exterior_basis`).
+    column, ascending) is returned as block vectors (`exterior_basis`),
+    placed by `place`, `pieces.exterior_index(n, k)`, which a caller
+    that asks for many supports builds once.  With no equations (no
+    rows, or k = 0) the kernel is the whole block, one unit vector per
+    column, and is read off without an echelon.
     """
     cols = list(combinations(supp, k))
+    if place is None:
+        place = exterior_index(n, k)
+    out = []
+    if not rows or not k:
+        for I in cols:
+            vec = [0] * len(place)
+            vec[place[I]] = 1
+            out.append(vec)
+        return out
     positions = {I: j for j, I in enumerate(cols)}
     equations = []
-    for w in rows if k else ():
+    for w in rows:
         for J in combinations(supp, k - 1):
             eq = [0] * len(cols)
             for i in supp:
@@ -110,14 +120,29 @@ def horizontal_block(n, k, supp, rows):
                     I = tuple(sorted(J + (i,)))
                     eq[positions[I]] = -w[i] if (k - 1 - I.index(i)) % 2 else w[i]
             equations.append(eq)
-    place = {I: j for j, I in enumerate(exterior_basis(n, k))}
-    out = []
     for v in echelon_of(equations, len(cols)).kernel_basis():
         vec = [0] * len(place)
         for I, c in zip(cols, v):
             vec[place[I]] = c
         out.append(vec)
     return out
+
+
+def horizontal_target(grading, k, supp):
+    """`horizontal_block` of the action's torus rows at `supp`, the
+    target of the pullback and the canonical sweep there, computed once
+    per (k, supp) on the call's grading."""
+    action = grading.action
+    held = grading.targets.get(k)
+    if held is None:
+        held = grading.targets[k] = (
+            exterior_index(action.n, k), torus_rows(action), {}
+        )
+    place, rows, bases = held
+    got = bases.get(supp)
+    if got is None:
+        got = bases[supp] = horizontal_block(action.n, k, supp, rows, place)
+    return got
 
 
 @dataclass(frozen=True)

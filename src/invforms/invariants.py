@@ -8,14 +8,21 @@ elements not reachable from lower degrees.
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, partial
 from math import comb
 from operator import itemgetter
 
 from invforms.cones import span_dim
 from invforms.errors import PreconditionError
-from invforms.euler import horizontal_block, torus_rows
-from invforms.pieces import BlockModule, Grading, block_form, block_key, check_degree
+from invforms.euler import horizontal_block, horizontal_target
+from invforms.pieces import (
+    BlockModule,
+    Grading,
+    block_form,
+    block_key,
+    check_degree,
+    grouped,
+)
 
 
 @dataclass(frozen=True)
@@ -145,8 +152,11 @@ def invariant_form_generators(action, k, horizontal, bound, grading=None):
         grading = Grading(action)
     check_degree(bound)
     n = action.n
-    rows = torus_rows(action) if horizontal else ()
-    basis_at = cache(lambda s: horizontal_block(n, k, s, rows))
+    if horizontal:
+        # shared with the pullback's targets on the call's grading
+        basis_at = partial(horizontal_target, grading, k)
+    else:
+        basis_at = partial(horizontal_block, n, k, rows=())
     module = BlockModule(grading, k, lambda s: len(basis_at(s)))
     blocks = []
     degrees = []
@@ -187,7 +197,7 @@ def hilbert_series_of(module, action, truncation, grading=None):
         grading = Grading(action)
     k = module.form_degree
     sweep = BlockModule(
-        grading, k, lambda s: comb(len(s), k), module.generator_blocks
+        grading, k, lambda s: comb(len(s), k), grouped(module.generator_blocks)
     )
     return tuple(
         sum([

@@ -71,10 +71,13 @@ moved to m unchanged: multiplying by x^(m - p) keeps the coordinates
 of a block vector.  Generators sit at weight-zero points, and weight
 is additive, so m - p >= 0 has weight zero exactly when m does: the
 weight-zero points of degree d that dominate p are exactly p + q for
-q in weight_zero(d - |p|).  A `BlockModule` holds one entry per
-generator point p, with the vectors there in order, ascending by
-degree, and adds the keys of those q to the key of each, so each point
-p is looked up once per point m it lifts to.  Its vectors are inserted
+q in weight_zero(d - |p|).  A `BlockModule` takes its generators
+grouped by point: one entry (packed key, degree, [vectors]) per
+generator point p, ascending by degree.  `grouped` builds them from
+(point, vector) pairs, and a pullback image hands them over as it lists
+its wedges (`pullback.PullbackImage.points`), so no wedge is packed or
+grouped twice.  The module adds the keys of those q to the key of each
+p, so each point p is looked up once per point m it lifts to.  Its vectors are inserted
 into m's echelon as they are lifted, until the block's rank reaches
 its cap, the most it can hold; later ones are skipped unreduced.  This
 is the only place generators are reduced: a module may hold dependent
@@ -147,7 +150,10 @@ class Grading:
     read, and in `monoid` the Hilbert-basis scan at the call's bound
     (see `invariants.monoid_basis`).  The coordinate symmetries of the
     scan and the orbits of the weight-zero points under them are listed
-    on first use (see the module docstring).
+    on first use (see the module docstring).  For the call's checks it
+    holds the last level of wedges built (`wedges`, see
+    `pullback.pullback_image`) and the horizontal target of each form
+    degree and support (`targets`, see `euler.horizontal_target`).
     """
 
     def __init__(self, action):
@@ -165,6 +171,12 @@ class Grading:
         self._orbits = {}
         # representative: ((packed key, point, supp) per orbit point)
         self.orbit = {}
+        # (monoid scan, k, k-wedges) of the last pullback image
+        # (`pullback.pullback_image`)
+        self.wedges = None
+        # k: (k-subset index, torus rows, {supp: horizontal block})
+        # (`euler.horizontal_target`)
+        self.targets = {}
 
     def weight_zero(self, d):
         """[(m, supp m)] for the weight-zero exponents m of degree d,
@@ -245,12 +257,8 @@ class Grading:
         found = set()
         for h, e in basis:
             found.update(map(h.__add__, self.weight_zero_keys(d - e)))
-        n = self.action.n
         keys = sorted(found)
-        # one KEY_WIDTH = 16-bit field per coordinate, m_0 highest
-        unpack = Struct(f">{n}H").unpack
-        raw = map(int.to_bytes, keys, repeat(2 * n), repeat("big"))
-        points = list(map(unpack, raw))
+        points = unpack_keys(self.action.n, keys)
         self._weight_zero[d] = list(zip(points, map(support, points))), keys
 
     def _enumerate(self, d):
@@ -373,6 +381,13 @@ def pack(m):
     for x in m:
         key = key << KEY_WIDTH | x
     return key
+
+
+def unpack_keys(n, keys):
+    """The points with n coordinates whose packed keys are `keys`."""
+    # one KEY_WIDTH = 16-bit field per coordinate, m_0 highest
+    raw = map(int.to_bytes, keys, repeat(2 * n), repeat("big"))
+    return list(map(Struct(f">{n}H").unpack, raw))
 
 
 def weight_zero_enumerator(action):
@@ -510,6 +525,11 @@ def exterior_basis(n, k):
     return list(combinations(range(n), k))
 
 
+def exterior_index(n, k):
+    """{k-subset of range(n): its coordinate in `exterior_basis(n, k)`}."""
+    return {I: j for j, I in enumerate(combinations(range(n), k))}
+
+
 def support(m):
     return tuple(compress(range(len(m)), m))
 
@@ -528,16 +548,16 @@ def block_points(grading, k, degree, weight):
 
 class BlockModule:
     """The weight-zero blocks of the module of k-forms that block
-    generators (m, vector) span over the invariant ring, lifted and
-    saturated up the monoid one degree at a time (see the module
-    docstring).  `cap(supp m)` is the largest rank of the block at m;
+    generators span over the invariant ring, lifted and saturated up the
+    monoid one degree at a time (see the module docstring).  The
+    generators come grouped by point, as `grouped` lists them.  `cap(supp m)` is the largest rank of the block at m;
     it is asked once per support.  With `orbits`, only one point per
     orbit of `Grading.symmetry` is listed and spanned, which is exact
     only for a module that Sym maps onto itself, as it does a pullback
     image.
     """
 
-    def __init__(self, grading, k, cap, blocks=(), orbits=False):
+    def __init__(self, grading, k, cap, points=(), orbits=False):
         self._grading = grading
         self._points = grading.orbit_blocks if orbits else grading.zero_blocks
         self._orbit = grading.orbit if orbits else None
@@ -546,14 +566,8 @@ class BlockModule:
         self._caps = {}  # support: cap
         self._ncols = comb(grading.action.n, k)
         # (packed key, degree, [vectors]) per generator point, ascending
-        # by degree; the sort is stable, so vectors keep their order
-        points = {}
-        for m, vec in blocks:
-            points.setdefault(m, []).append(vec)
-        self._gens = sorted(
-            ((pack(m), sum(m), vecs) for m, vecs in points.items()),
-            key=itemgetter(1),
-        )
+        # by degree, as `grouped` lists them
+        self._gens = list(points)
         self._capped = {}  # support: packed keys of points at their cap
         # key: (echelon, cap, supp, m) of the last degree's spanned points
         self._spanned = {}
@@ -615,6 +629,20 @@ class BlockModule:
                                 break
                             ech.insert(vec)
         return out
+
+
+def grouped(blocks):
+    """The generators (m, vector) of `blocks` as a `BlockModule` takes
+    them: (packed key, degree, [vectors]) per point m, ascending by
+    degree, points of one degree and the vectors at each in the order
+    of their first generator."""
+    points = {}
+    for m, vec in blocks:
+        points.setdefault(m, []).append(vec)
+    return sorted(
+        ((pack(m), sum(m), vecs) for m, vecs in points.items()),
+        key=itemgetter(1),
+    )
 
 
 def block_key(n, k, m, vec):

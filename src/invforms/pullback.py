@@ -6,16 +6,24 @@ kernel is torsion, so this image is the faithful (torsion-free) model
 of the quotient's Kähler k-forms.  Surjectivity onto the invariant
 horizontal k-forms is decided degreewise against a certified bound on
 the degrees of the target's minimal generators.
+
+Every (k+1)-wedge dg_1 ∧ ... ∧ dg_(k+1) is a k-wedge times one more
+dg, so the wedges are built in levels, one per form degree: level k + 1
+extends each nonzero k-wedge by each later Hilbert-basis generator.
+The call's `pieces.Grading` holds the last level built, so a check of
+form degree k + 1 after one of degree k, as `report.run_analysis` runs
+them, builds one level, not k + 1 (`pullback_image`).  This is not a
+smaller generating set: every nonzero k-subset wedge is still listed.
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from math import comb, inf
-from operator import add, mul
+from operator import itemgetter, mul
 
 from invforms.errors import InternalCheckError, PreconditionError
-from invforms.euler import horizontal_block, torus_rows
+from invforms.euler import horizontal_target
 from invforms.invariants import monoid_basis
 from invforms.linalg import echelon_of
 from invforms.pieces import (
@@ -23,8 +31,10 @@ from invforms.pieces import (
     Grading,
     block_form,
     block_key,
+    exterior_index,
     pack,
     support,
+    unpack_keys,
 )
 
 
@@ -40,12 +50,15 @@ class PullbackImage:
 
     Each nonzero wedge is kept as its lattice point and Plücker vector
     (`generator_blocks`, see `pieces`), listed by total degree, dependent
-    ones included; the engine reads only these.  `wedge_generators` are
-    the same wedges as forms, built on first use.
+    ones included.  `points` groups the same vectors by lattice point,
+    as `pieces.BlockModule` takes them (`pieces.grouped`); the engine
+    reads only these two.  `wedge_generators` are the same wedges as
+    forms, built on first use.
     """
 
     k: int
     generator_blocks: tuple
+    points: tuple
 
     @cached_property
     def wedge_generators(self):
@@ -77,66 +90,74 @@ def _wedge_candidates(action, basis, k, *, max_degree=None):
     """Each k-subset of the Hilbert basis with a nonzero wedge of
     differentials, as (lattice point, Plücker vector), in subset order;
     with `max_degree`, only those whose lattice point has degree at most
-    that.
+    that.  The wedges are built level by level from nothing, as
+    `pullback_image` extends them (see `_next_level`)."""
+    cap = inf if max_degree is None else max_degree
+    level = [(0, 0, -1, [1])]  # the empty wedge, 1
+    for j in range(k):
+        level = _next_level(level, j, action.n, basis, cap)
+    points = unpack_keys(action.n, [key for key, _, _, _ in level])
+    return [(m, vec) for m, (_, _, _, vec) in zip(points, level)]
+
+
+def _next_level(level, j, n, basis, cap):
+    """The nonzero (j+1)-wedges of degree at most `cap` from the j-wedges
+    `level`, each as (packed key, degree, index of its last generator,
+    Plücker vector), in subset order.  `level` is emptied as it is read,
+    each j-wedge freed once its children are built.
 
     d(x^g_1) ∧ ... ∧ d(x^g_k) = sum_I det(g_j[i])_(i in I) x^(m - e_I) dx_I
     with m = g_1 + ... + g_k, so the wedge lies in block m (see `pieces`)
     and its block vector is the k x k minors, rows in I order and
-    columns in subset order.  Minors are built one generator at a time,
-    scattering only the nonzero entries of g and of the j-minors v:
-    (v ∧ g)_(J ∪ {i}) += (-1)^#{x in J : x > i} g[i] v_J over i in supp g
-    not in J and v_J != 0.  Hilbert-basis vectors are sparse, so this
-    touches far fewer terms than summing every term of every minor.
-    The Hilbert basis ascends by degree, so once the next generator,
-    taken for each of the k - j remaining slots, overshoots `max_degree`,
-    every later one does too.
+    columns in subset order.  A (j+1)-wedge is a j-wedge v times dg for
+    one later generator g, scattering only the nonzero entries of g and
+    of v: (v ∧ g)_(J ∪ {i}) += (-1)^#{x in J : x > i} g[i] v_J over i in
+    supp g not in J and v_J != 0.  Hilbert-basis vectors are sparse, so
+    this touches far fewer terms than summing every term of every minor.
+    A wedge whose j-prefix is zero is zero, so the nonzero j-wedges are
+    the only parents.  A parent's children follow it in ascending
+    generator index, which keeps subset order; the packed key and the
+    degree of a child are the parent's plus the generator's.  The
+    Hilbert basis ascends by degree, so once a generator overshoots
+    `cap`, every later one does too.
     """
-    n = action.n
     gens = basis.generators
-    degrees = [sum(g) for g in gens]
+    keys = list(map(pack, gens))
+    degrees = list(map(sum, gens))
     supports = [[(i, x) for i, x in enumerate(g) if x] for g in gens]
-    cap = inf if max_degree is None else max_degree
-    # steps[j][p][i]: (position of J ∪ {i} among the (j+1)-subsets, sign)
+    # steps[p][i]: (position of J ∪ {i} among the (j+1)-subsets, sign)
     # for J the p-th j-subset, or None when i is in J
-    steps = []
-    for j in range(k):
-        place = {K: q for q, K in enumerate(combinations(range(n), j + 1))}
-        steps.append([
-            [
-                None if i in J else (
-                    place[tuple(sorted(J + (i,)))],
-                    (-1) ** sum(x > i for x in J),
-                )
-                for i in range(n)
-            ]
-            for J in combinations(range(n), j)
-        ])
-    sizes = [comb(n, j + 1) for j in range(k)]
+    place = exterior_index(n, j + 1)
+    steps = [
+        [
+            None if i in J else (
+                place[tuple(sorted(J + (i,)))],
+                (-1) ** sum(x > i for x in J),
+            )
+            for i in range(n)
+        ]
+        for J in combinations(range(n), j)
+    ]
+    size = len(place)
     out = []
-
-    def extend(first, m, vec, j):
-        if j == k:
-            out.append((m, vec))
-            return
-        room = cap - sum(m)
-        at_j = steps[j]
-        for t in range(first, len(gens) - k + j + 1):
-            if (k - j) * degrees[t] > room:
+    level.reverse()
+    while level:
+        key, deg, last, vec = level.pop()
+        terms = [(steps[p], v) for p, v in enumerate(vec) if v]
+        room = cap - deg
+        for t in range(last + 1, len(gens)):
+            if degrees[t] > room:
                 break
             supp = supports[t]
-            nxt = [0] * sizes[j]
-            for p, v in enumerate(vec):
-                if v:
-                    at = at_j[p]
-                    for i, x in supp:
-                        hit = at[i]
-                        if hit is not None:
-                            q, sign = hit
-                            nxt[q] += sign * x * v
+            nxt = [0] * size
+            for at, v in terms:
+                for i, x in supp:
+                    hit = at[i]
+                    if hit is not None:
+                        q, sign = hit
+                        nxt[q] += sign * x * v
             if any(nxt):
-                extend(t + 1, tuple(map(add, m, gens[t])), nxt, j + 1)
-
-    extend(0, (0,) * n, [1], 0)
+                out.append((key + keys[t], deg + degrees[t], t, nxt))
     return out
 
 
@@ -145,6 +166,13 @@ def pullback_image(action, k, bound, grading=None):
     that have degree at most `bound`: every nonzero one, listed by total
     degree, then in subset order.  Dependent wedges are kept; the blocks
     they are lifted to reduce them (`pieces.BlockModule`).
+
+    The wedges are built one level of form degree at a time
+    (`_next_level`), and the grading holds the last level built: asked
+    for a higher k on the same scan, as `surjectivity_check` is for
+    ascending k, this call extends that level instead of starting from
+    nothing, and the held level is freed as its children are built.  It
+    hands the blocks their grouping too (`points`), built with the list.
     """
     if k < 0:
         raise PreconditionError(f"form degree must be non-negative, got {k}")
@@ -152,10 +180,27 @@ def pullback_image(action, k, bound, grading=None):
         grading = Grading(action)
     basis = monoid_basis(grading, bound)
     if k > action.n:
-        return PullbackImage(k, ())
-    wedges = _wedge_candidates(action, basis, k, max_degree=bound)
-    wedges.sort(key=lambda b: sum(b[0]))
-    return PullbackImage(k, tuple(wedges))
+        return PullbackImage(k, (), ())
+    held = grading.wedges
+    if held is None or held[0] is not basis or held[1] > k:
+        held = basis, 0, [(0, 0, -1, [1])]  # the empty wedge, 1
+    _, start, level = held
+    grading.wedges = None
+    for j in range(start, k):
+        level = _next_level(level, j, action.n, basis, bound)
+    grading.wedges = basis, k, level
+    points = {}  # packed key: (packed key, degree, [vectors])
+    for key, deg, _, vec in level:
+        got = points.get(key)
+        if got is None:
+            got = points[key] = key, deg, []
+        got[2].append(vec)
+    at = dict(zip(points, unpack_keys(action.n, points)))
+    return PullbackImage(
+        k,
+        tuple((at[key], vec) for key, _, _, vec in sorted(level, key=itemgetter(1))),
+        tuple(sorted(points.values(), key=itemgetter(1))),
+    )
 
 
 def target_generator_bound(action, k, basis):
@@ -205,26 +250,25 @@ def surjectivity_check(action, k, bound, grading=None):
         grading = Grading(action)
     basis = monoid_basis(grading, bound)
     image = pullback_image(action, k, bound, grading)
-    torus = torus_rows(action)
-    target_at = cache(lambda s: horizontal_block(action.n, k, s, torus))
+    target_at = partial(horizontal_target, grading, k)
     ncols = comb(action.n, k)
     # without a torus every target is the whole block and holds vec; an
     # insert that finds a pivot leaves the target's span, so it raises
     # before any echelon grows past its target
-    spans = cache(lambda s: echelon_of(target_at(s), ncols))
-    for p, vec in image.generator_blocks if torus else ():
-        if spans(support(p)).insert(vec) is not None:
+    spans = {}  # support: echelon of its target
+    for p, vec in image.generator_blocks if action.torus_rank else ():
+        s = support(p)
+        ech = spans.get(s)
+        if ech is None:
+            ech = spans[s] = echelon_of(target_at(s), ncols)
+        if ech.insert(vec) is not None:
             raise InternalCheckError(
                 f"wedge generator at lattice point {p} is not horizontal"
             )
     orbital = ncols > NARROW_BLOCK and len(grading.symmetry()) > 1
     orbit = grading.orbit if orbital else None
     module = BlockModule(
-        grading,
-        k,
-        lambda s: len(target_at(s)),
-        image.generator_blocks,
-        orbits=orbital,
+        grading, k, lambda s: len(target_at(s)), image.points, orbits=orbital
     )
     rows = []
     witness = None
@@ -248,7 +292,7 @@ def surjectivity_check(action, k, bound, grading=None):
                 if orbit is not None:
                     # span every point of the short orbits as a pointwise
                     # sweep does: from the generators each one dominates
-                    gens = [(pack(p), vec) for p, vec in image.generator_blocks]
+                    gens = image.points
                     guard = grading.guard
                     short = [
                         (q, target_at(t), _image_rows(key, gens, guard, ncols))
@@ -285,12 +329,17 @@ def surjectivity_check(action, k, bound, grading=None):
     )
 
 
-def _image_rows(key, gens, guard, ncols):
-    """Echelon rows of the generators (packed key, block vector) at the
-    points below the one with packed key `key`, lifted to it; `guard`
-    is `Grading.guard`."""
+def _image_rows(key, points, guard, ncols):
+    """Echelon rows of the generators (packed key, degree, [vectors]) at
+    the points below the one with packed key `key`, lifted to it;
+    `guard` is `Grading.guard`."""
     top = key | guard
-    below = [vec for p, vec in gens if (top - p) & guard == guard]
+    below = [
+        vec
+        for p, _, vecs in points
+        if (top - p) & guard == guard
+        for vec in vecs
+    ]
     return echelon_of(below, ncols).rows
 
 

@@ -59,10 +59,13 @@ def run_analysis(action, max_degree=None, form_degrees=None):
         ks = sorted(set(form_degrees))
 
     t0 = time.perf_counter()
-    surj_results = [
-        surjectivity_check(action, k, bound, grading=grading)
-        for k in ks
-    ]
+    # the smoothness verdict reads k = 1..dim Y too: each k is checked
+    # once, ascending, so that each extends the last one's wedges
+    checks = {
+        k: surjectivity_check(action, k, bound, grading=grading)
+        for k in sorted({*ks, *range(1, dim_y + 1)})
+    }
+    surj_results = [checks[k] for k in ks]
     timings["surjectivity"] = _ms(t0)
     surj_section = {}
     for res in surj_results:
@@ -81,11 +84,10 @@ def run_analysis(action, max_degree=None, form_degrees=None):
         }
 
     t0 = time.perf_counter()
-    full = form_degrees is None
     verdict = smoothness_verdict(
         action,
         bound,
-        surjectivity_results=surj_results if full else None,
+        surjectivity_results=[checks[k] for k in range(1, dim_y + 1)],
         grading=grading,
     )
     timings["smoothness"] = _ms(t0)

@@ -18,6 +18,7 @@ from invforms.pieces import (
     block_form,
     exterior_basis,
     form_to_vector,
+    grouped,
     monomials_of_degree,
     monomials_with_weight,
     pack,
@@ -366,7 +367,7 @@ def _module_matches_scan(act, k, bound):
     ]
     ncols = comb(act.n, k)
     for gens in families:
-        module = BlockModule(grading, k, lambda s: comb(len(s), k), gens)
+        module = BlockModule(grading, k, lambda s: comb(len(s), k), grouped(gens))
         for d in range(bound + 1):
             got = module.blocks(d)
             assert [(m, s) for m, s, _ in got] == [
@@ -418,7 +419,7 @@ def test_blocks_never_insert_past_the_cap(monkeypatch, corpus_dir):
             for orbits in (False, True):
                 grading = Grading(act)
                 monoid_basis(grading, bound)
-                gens = pullback_image(act, k, bound, grading=grading).generator_blocks
+                gens = pullback_image(act, k, bound, grading=grading).points
                 module = BlockModule(grading, k, cap, gens, orbits=orbits)
                 for d in range(bound + 1):
                     ranks.clear()
