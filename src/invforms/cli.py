@@ -78,11 +78,24 @@ def main(argv=None):
         return 1 if isinstance(exc, PreconditionError) else 2
 
 
+# What reading a spec file raises besides a missing file: a directory,
+# no read permission, bytes that are not UTF-8.
+UNREADABLE = (OSError, UnicodeDecodeError)
+
+
+def _reason(exc):
+    """Why a spec could not be read, without the path an OSError repeats."""
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+
+
 def _load(path):
     try:
         return load_action(path)
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
+        raise SystemExit(1) from None
+    except UNREADABLE as exc:
+        print(f"error: cannot read {path}: {_reason(exc)}", file=sys.stderr)
         raise SystemExit(1) from None
     except json.JSONDecodeError as exc:
         print(
@@ -130,11 +143,13 @@ def cmd_corpus(args):
     for path in specs:
         try:
             report = run_analysis(load_action(path), max_degree=args.max_degree)
-        except (EngineError, json.JSONDecodeError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+        except (EngineError, json.JSONDecodeError, *UNREADABLE) as exc:
+            print(f"error: {path}: {_reason(exc)}", file=sys.stderr)
             # 1 for a spec that cannot be loaded or a precondition, as
             # `_load` and `main` give; 2 for any other engine error
-            input_errors = (json.JSONDecodeError, ValidationError, PreconditionError)
+            input_errors = (
+                json.JSONDecodeError, ValidationError, PreconditionError, *UNREADABLE
+            )
             return 1 if isinstance(exc, input_errors) else 2
         results[path.stem] = report
 

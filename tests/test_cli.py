@@ -331,6 +331,55 @@ def test_analyze_missing_file_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: no such file: {missing}\n"
 
 
+def _unreadable_specs(folder):
+    """A directory named like a spec and a file of bytes that are not
+    UTF-8, in `folder`."""
+    sub = folder / "sub.json"
+    sub.mkdir()
+    raw = folder / "raw.json"
+    raw.write_bytes(b"\xff\xfe")
+    return sub, raw
+
+
+def test_analyze_unreadable_spec_is_an_input_error(monkeypatch, tmp_path, capsys):
+    import invforms.cli
+
+    for spec in _unreadable_specs(tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", str(spec)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {spec}: ")
+        assert err.count("\n") == 1
+    # a file without read permission; root may read any file, so the
+    # error is raised where `open` would raise it
+    locked = tmp_path / "locked.json"
+
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(invforms.cli, "load_action", denied)
+    with pytest.raises(SystemExit) as exc:
+        run(["canonical", str(locked)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {locked}: Permission denied\n"
+    )
+
+
+def test_corpus_unreadable_spec_is_an_input_error(tmp_path, capsys):
+    for spec in _unreadable_specs(tmp_path):
+        cdir = tmp_path / f"corpus_{spec.stem}"
+        cdir.mkdir()
+        write(cdir / "a1.json", A1)
+        spec.rename(cdir / spec.name)
+        assert run(["corpus", str(cdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cdir / spec.name}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 def test_analyze_non_integer_form_degree_is_an_input_error(tmp_path, capsys):
     spec = tmp_path / "a1.json"
     write(spec, A1)

@@ -254,6 +254,33 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
+def test_each_form_degree_is_checked_once(monkeypatch, corpus_dir):
+    import invforms.pullback
+    from invforms.report import run_analysis, strip_timings
+
+    act = load_action(corpus_dir / "z3_111.json")
+    full = strip_timings(run_analysis(act))
+    checks = _count_calls(monkeypatch, invforms.pullback.surjectivity_check)
+    one = strip_timings(run_analysis(act, form_degrees=[1]))
+    # k = 1 is asked for, and the smoothness verdict reads k = 1..dim Y
+    assert [args[1] for args in checks] == [1, 2, 3]
+    assert one["surjectivity"] == {"1": full["surjectivity"]["1"]}
+    assert one["smoothness"] == full["smoothness"]
+
+
+@pytest.mark.parametrize("name", ["z3_111", "t_12m3", "mix_t1z2"])
+def test_each_target_is_computed_once_per_analysis(monkeypatch, corpus_dir, name):
+    """The pullback's checks and the canonical sweep share the targets
+    of one analysis: one `horizontal_block` per (k, support)."""
+    import invforms.euler
+    from invforms.report import run_analysis
+
+    blocks = _count_calls(monkeypatch, invforms.euler.horizontal_block)
+    run_analysis(load_action(corpus_dir / f"{name}.json"))
+    asked = [(args[1], args[2]) for args in blocks]
+    assert asked and len(asked) == len(set(asked))
+
+
 # t_12m3 at bound 6 lies below its certificate bound 9
 @pytest.mark.parametrize("name, bound", [("t_12m3", 6), ("z4_123", None)])
 def test_one_monoid_scan_per_analysis(monkeypatch, corpus_dir, name, bound):

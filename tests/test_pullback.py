@@ -9,7 +9,7 @@ from invforms.action import load_action, make_action
 from invforms.errors import InternalCheckError
 from invforms.forms import PolyForm, wedge
 from invforms.invariants import hilbert_basis, monoid_basis, quotient_dimension
-from invforms.pieces import Grading
+from invforms.pieces import Grading, grouped
 from invforms.pullback import (
     NARROW_BLOCK,
     _wedge_candidates,
@@ -298,6 +298,27 @@ def test_pullback_image_keeps_every_nonzero_wedge(corpus_dir):
         assert list(pullback_image(act, k, bound).generator_blocks) == want
         counts.append(len(want))
     assert counts == [10, 45, 105]
+
+
+@given(actions(), st.integers(1, 7))
+@example(make_action(4, finite_orders=[3], weight_matrix=[[1, 1, 2, 2]]), 7)
+def test_wedge_levels_extend_to_the_fresh_wedges(act, bound):
+    """On one grading, each image extends the level held from the last
+    one, for ascending k and then for a k below the held level, which
+    starts afresh; each lists the wedges a fresh start lists, entry for
+    entry, and hands over the grouping the blocks would build."""
+    grading = Grading(act)
+    basis = monoid_basis(grading, bound)
+    for k in [*range(act.n + 2), act.n // 2]:
+        image = pullback_image(act, k, bound, grading)
+        fresh = _wedge_candidates(act, basis, k, max_degree=bound)
+        dense = [
+            (m, v) for m, v in dense_wedge_candidates(act, basis, k) if sum(m) <= bound
+        ]
+        assert fresh == dense
+        assert image == pullback_image(act, k, bound)
+        assert list(image.generator_blocks) == sorted(fresh, key=lambda b: sum(b[0]))
+        assert list(image.points) == grouped(image.generator_blocks)
 
 
 def _checks(act, bound):
