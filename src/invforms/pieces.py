@@ -77,14 +77,14 @@ generator point p, ascending by degree.  `grouped` builds them from
 (point, vector) pairs, and a pullback image hands them over as it lists
 its wedges (`pullback.PullbackImage.points`), so no wedge is packed or
 grouped twice.  The module adds the keys of those q to the key of each
-p, so each point p is looked up once per point m it lifts to.  Its vectors are inserted
-into m's echelon as they are lifted, until the block's rank reaches
-its cap, the most it can hold; later ones are skipped unreduced.  This
-is the only place generators are reduced: a module may hold dependent
-ones, as a pullback image does.  The order of insertion does not
-matter: echelon rows are the canonical reduced form of their span
-(`linalg`), and a block at its cap spans the whole space that holds
-its generators.
+p, so each point p is looked up once per point m it lifts to.  Its
+vectors are inserted into m's echelon as they are lifted, until the
+block's rank reaches its cap, the most it can hold; later ones are
+skipped unreduced.  This is the only place generators are reduced: a
+module may hold dependent ones, as a pullback image does.  The order
+of insertion does not matter: echelon rows are the canonical reduced
+form of their span (`linalg`), and a block at its cap spans the whole
+space that holds its generators.
 
 Blocks saturate up the monoid.  Let q <= m be weight-zero points with
 supp q = supp m.  Then x^(m - q) is invariant and moves the block at q
@@ -550,11 +550,11 @@ class BlockModule:
     """The weight-zero blocks of the module of k-forms that block
     generators span over the invariant ring, lifted and saturated up the
     monoid one degree at a time (see the module docstring).  The
-    generators come grouped by point, as `grouped` lists them.  `cap(supp m)` is the largest rank of the block at m;
-    it is asked once per support.  With `orbits`, only one point per
-    orbit of `Grading.symmetry` is listed and spanned, which is exact
-    only for a module that Sym maps onto itself, as it does a pullback
-    image.
+    generators come grouped by point, as `grouped` lists them.
+    `cap(supp m)` is the largest rank of the block at m; it is asked
+    once per support.  With `orbits`, only one point per orbit of
+    `Grading.symmetry` is listed and spanned, which is exact only for a
+    module that Sym maps onto itself, as it does a pullback image.
     """
 
     def __init__(self, grading, k, cap, points=(), orbits=False):
