@@ -172,10 +172,8 @@ class Grading:
         # representative: ((packed key, point, supp) per orbit point)
         self.orbit = {}
         # (monoid scan, k, k-wedges) of the last pullback image
-        # (`pullback.pullback_image`)
         self.wedges = None
         # k: (k-subset index, torus rows, {supp: horizontal block})
-        # (`euler.horizontal_target`)
         self.targets = {}
 
     def weight_zero(self, d):

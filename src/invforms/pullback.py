@@ -12,7 +12,8 @@ dg, so the wedges are built in levels, one per form degree: level k + 1
 extends each nonzero k-wedge by each later Hilbert-basis generator.
 The call's `pieces.Grading` holds the last level built, so a check of
 form degree k + 1 after one of degree k, as `report.run_analysis` runs
-them, builds one level, not k + 1 (`pullback_image`).  This is not a
+them, builds one level, not k + 1 (`pullback_image`); each wedge of the
+held level is freed once its children are built.  This is not a
 smaller generating set: every nonzero k-subset wedge is still listed.
 """
 
@@ -167,12 +168,9 @@ def pullback_image(action, k, bound, grading=None):
     degree, then in subset order.  Dependent wedges are kept; the blocks
     they are lifted to reduce them (`pieces.BlockModule`).
 
-    The wedges are built one level of form degree at a time
-    (`_next_level`), and the grading holds the last level built: asked
-    for a higher k on the same scan, as `surjectivity_check` is for
-    ascending k, this call extends that level instead of starting from
-    nothing, and the held level is freed as its children are built.  It
-    hands the blocks their grouping too (`points`), built with the list.
+    Asked for a higher k on the same scan, it extends the level of
+    wedges the grading holds (see the module docstring), and it hands
+    the blocks their grouping (`points`) with the list.
     """
     if k < 0:
         raise PreconditionError(f"form degree must be non-negative, got {k}")
